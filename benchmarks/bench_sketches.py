@@ -110,7 +110,7 @@ def partial_size_rows():
         operator = GroupByAggregate(
             group_by=[], aggregates=[(function, "x", "d", None)])
         for i in range(n):
-            operator.process({"x": f"value-{i}"})
+            operator.accumulate((), [f"value-{i}"])
         return operator.partial_sizes()[()]
 
     rows = []

@@ -1,7 +1,8 @@
 """PIER core: the relational query processor (the paper's primary contribution).
 
-The core package contains the "boxes and arrows" dataflow engine
-(:mod:`repro.core.operators`), the relational data model
+The core package contains the "boxes and arrows" dataflow engine (operator
+graphs in :mod:`repro.core.opgraph`, run by :mod:`repro.core.executor`,
+with aggregation state in :mod:`repro.core.operators`), the relational data model
 (:mod:`repro.core.tuples`, :mod:`repro.core.expressions`), the four
 DHT-based distributed join strategies and query dissemination
 (:mod:`repro.core.executor`, :mod:`repro.core.query`), plus the features the

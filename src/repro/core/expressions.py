@@ -12,29 +12,18 @@ provides a small, explicit expression language covering those needs:
 * :class:`Arithmetic` — ``+ - * /``;
 * :class:`FunctionCall` — calls into a registry of scalar UDFs.
 
-Expressions support two execution modes:
+Expressions have two forms:
 
-* **interpreted** — :meth:`Expression.evaluate` walks the tree against a
-  *row environment*: a dict mapping column names (qualified like
-  ``"R.num2"`` or bare like ``"num2"``) to values, resolving ambiguous
-  references on every evaluation;
-* **compiled** — :meth:`Expression.compile` takes a
-  :class:`repro.core.tuples.RowLayout` and emits nested closures over
-  *slotted* rows (plain tuples): every :class:`ColumnRef` is resolved to a
-  fixed slot exactly once, so resolution (and ambiguity) errors surface at
-  plan time and the per-row work is index access plus the operator itself;
-* **vectorized** — :meth:`Expression.compile_vector` compiles against the
-  same layout but evaluates a whole columnar chunk per call: the closure
-  takes ``(columns, length)`` and returns one result list, so a thousand-row
-  predicate is a handful of list comprehensions instead of a thousand nested
-  closure invocations.  Resolution errors surface at plan time exactly as in
-  ``compile``; ``And``/``Or`` keep per-row short-circuit semantics by
-  evaluating later terms only on the rows still alive (a selection vector),
-  so whether a row ever reaches an erroring term matches the row pipeline.
-  Within one chunk evaluation is column-at-a-time, so when *multiple
-  independent* subexpressions would error on different rows, which of them
-  raises first may differ from row-major order — the error class for any
-  single failing site is identical.
+* :meth:`Expression.compile` takes a :class:`repro.core.tuples.RowLayout`
+  and emits nested closures over *slotted* rows (plain tuples): every
+  :class:`ColumnRef` is resolved to a fixed slot exactly once, so resolution
+  (and ambiguity) errors surface at plan time and the per-row work is index
+  access plus the operator itself.  The executor runs only this form.
+* :meth:`Expression.evaluate` walks the tree against a *row environment*: a
+  dict mapping column names (qualified like ``"R.num2"`` or bare like
+  ``"num2"``) to values, resolving references on every evaluation.  It is
+  the reference semantics: initiator-side HAVING/derived columns use it, and
+  the test suite's centralized oracle evaluates whole queries with it.
 
 ``columns_referenced`` lets planners decide which predicates are local to one
 table and which must wait until after the join.
@@ -54,9 +43,6 @@ Row = Dict[str, Any]
 
 #: A compiled expression: a closure evaluated against one slotted row.
 CompiledExpression = Callable[[Sequence[Any]], Any]
-
-#: A vectorized expression: ``(columns, length) -> results`` over one chunk.
-VectorExpression = Callable[[Sequence[List[Any]], int], List[Any]]
 
 #: Registry of scalar user-defined functions usable in FunctionCall.
 _UDF_REGISTRY: Dict[str, Callable[..., Any]] = {}
@@ -91,17 +77,6 @@ class Expression(ABC):
         at compile (plan) time instead of on every row.
         """
 
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        """Compile to a chunk kernel: ``(columns, length) -> result list``.
-
-        Column references resolve to fixed slots at compile time, exactly as
-        in :meth:`compile`.  The default implementation falls back to the
-        per-row closure applied across the chunk; node types with a cheaper
-        columnar form override it.
-        """
-        compiled = self.compile(layout)
-        return lambda columns, n: [compiled(row) for row in zip(*columns)]
-
     @abstractmethod
     def columns_referenced(self) -> Set[str]:
         """Every column name mentioned anywhere in the expression."""
@@ -129,10 +104,6 @@ class Literal(Expression):
     def compile(self, layout: RowLayout) -> CompiledExpression:
         value = self.value
         return lambda _row: value
-
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        value = self.value
-        return lambda _columns, n: [value] * n
 
     def columns_referenced(self) -> Set[str]:
         return set()
@@ -174,16 +145,6 @@ class ColumnRef(Expression):
             )
         return operator.itemgetter(slot)
 
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        slot = layout.slot(self.name, ambiguity_error=ExpressionError)
-        if slot is None:
-            raise ExpressionError(
-                f"row has no column {self.name!r} (row keys: {sorted(layout.names)})"
-            )
-        # Callers treat the returned column as read-only, so the chunk's own
-        # value array is handed out without copying.
-        return lambda columns, _n: columns[slot]
-
     def columns_referenced(self) -> Set[str]:
         return {self.name}
 
@@ -210,50 +171,6 @@ _ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _compile_binary_vector(op_fn: Callable[[Any, Any], Any],
-                           left: Expression, right: Expression,
-                           layout: RowLayout, as_bool: bool) -> VectorExpression:
-    """Vectorize a binary node, special-casing the column-vs-constant shape
-    (the dominant predicate form) to a single-column pass with no zip."""
-    if isinstance(right, Literal) and not isinstance(left, Literal):
-        left_vector = left.compile_vector(layout)
-        constant = right.value
-        if as_bool:
-            return lambda columns, n: [
-                bool(op_fn(value, constant)) for value in left_vector(columns, n)
-            ]
-        return lambda columns, n: [
-            op_fn(value, constant) for value in left_vector(columns, n)
-        ]
-    if isinstance(left, Literal) and not isinstance(right, Literal):
-        constant = left.value
-        right_vector = right.compile_vector(layout)
-        if as_bool:
-            return lambda columns, n: [
-                bool(op_fn(constant, value)) for value in right_vector(columns, n)
-            ]
-        return lambda columns, n: [
-            op_fn(constant, value) for value in right_vector(columns, n)
-        ]
-    left_vector = left.compile_vector(layout)
-    right_vector = right.compile_vector(layout)
-    if as_bool:
-        return lambda columns, n: [
-            bool(op_fn(a, b))
-            for a, b in zip(left_vector(columns, n), right_vector(columns, n))
-        ]
-    return lambda columns, n: [
-        op_fn(a, b)
-        for a, b in zip(left_vector(columns, n), right_vector(columns, n))
-    ]
-
-
-def _gather_columns(columns: Sequence[List[Any]],
-                    indices: List[int]) -> List[List[Any]]:
-    """Row-subset view of a chunk's columns (the selection-vector gather)."""
-    return [[column[i] for i in indices] for column in columns]
-
-
 @dataclass(frozen=True)
 class Comparison(Expression):
     """Binary comparison between two sub-expressions."""
@@ -274,11 +191,6 @@ class Comparison(Expression):
         left = self.left.compile(layout)
         right = self.right.compile(layout)
         return lambda row: bool(compare_op(left(row), right(row)))
-
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        return _compile_binary_vector(
-            _COMPARATORS[self.op], self.left, self.right, layout, as_bool=True
-        )
 
     def columns_referenced(self) -> Set[str]:
         return self.left.columns_referenced() | self.right.columns_referenced()
@@ -308,11 +220,6 @@ class Arithmetic(Expression):
         right = self.right.compile(layout)
         return lambda row: arithmetic_op(left(row), right(row))
 
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        return _compile_binary_vector(
-            _ARITHMETIC[self.op], self.left, self.right, layout, as_bool=False
-        )
-
     def columns_referenced(self) -> Set[str]:
         return self.left.columns_referenced() | self.right.columns_referenced()
 
@@ -332,30 +239,6 @@ class And(Expression):
             first, second = compiled
             return lambda row: bool(first(row)) and bool(second(row))
         return lambda row: all(term(row) for term in compiled)
-
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        compiled = tuple(term.compile_vector(layout) for term in self.terms)
-        if len(compiled) == 1:
-            only = compiled[0]
-            return lambda columns, n: [bool(value) for value in only(columns, n)]
-
-        def vector(columns: Sequence[List[Any]], n: int) -> List[Any]:
-            # Selection-vector evaluation: each later term sees only the rows
-            # every earlier term passed, preserving the row pipeline's
-            # short-circuit semantics (a row that fails term 1 never reaches
-            # term 2, so it cannot trigger term 2's errors).
-            mask = [bool(value) for value in compiled[0](columns, n)]
-            for term in compiled[1:]:
-                alive = [i for i, passed in enumerate(mask) if passed]
-                if not alive:
-                    break
-                verdicts = term(_gather_columns(columns, alive), len(alive))
-                for i, verdict in zip(alive, verdicts):
-                    if not verdict:
-                        mask[i] = False
-            return mask
-
-        return vector
 
     def columns_referenced(self) -> Set[str]:
         referenced: Set[str] = set()
@@ -390,28 +273,6 @@ class Or(Expression):
             return lambda row: bool(first(row)) or bool(second(row))
         return lambda row: any(term(row) for term in compiled)
 
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        compiled = tuple(term.compile_vector(layout) for term in self.terms)
-        if len(compiled) == 1:
-            only = compiled[0]
-            return lambda columns, n: [bool(value) for value in only(columns, n)]
-
-        def vector(columns: Sequence[List[Any]], n: int) -> List[Any]:
-            # Dual of And: later terms see only the rows still undecided
-            # (every earlier term false), matching per-row short-circuit.
-            mask = [bool(value) for value in compiled[0](columns, n)]
-            for term in compiled[1:]:
-                undecided = [i for i, passed in enumerate(mask) if not passed]
-                if not undecided:
-                    break
-                verdicts = term(_gather_columns(columns, undecided), len(undecided))
-                for i, verdict in zip(undecided, verdicts):
-                    if verdict:
-                        mask[i] = True
-            return mask
-
-        return vector
-
     def columns_referenced(self) -> Set[str]:
         referenced: Set[str] = set()
         for term in self.terms:
@@ -431,10 +292,6 @@ class Not(Expression):
     def compile(self, layout: RowLayout) -> CompiledExpression:
         term = self.term.compile(layout)
         return lambda row: not term(row)
-
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        term = self.term.compile_vector(layout)
-        return lambda columns, n: [not value for value in term(columns, n)]
 
     def columns_referenced(self) -> Set[str]:
         return self.term.columns_referenced()
@@ -462,22 +319,6 @@ class FunctionCall(Expression):
             return lambda row: function(first(row), second(row))
         return lambda row: function(*(argument(row) for argument in compiled))
 
-    def compile_vector(self, layout: RowLayout) -> VectorExpression:
-        function = udf(self.name)  # unknown UDFs fail at plan time
-        compiled = tuple(argument.compile_vector(layout) for argument in self.args)
-        if len(compiled) == 1:
-            only = compiled[0]
-            return lambda columns, n: list(map(function, only(columns, n)))
-        if len(compiled) == 2:  # the paper's f(R.num3, S.num3) shape
-            first, second = compiled
-            return lambda columns, n: list(
-                map(function, first(columns, n), second(columns, n))
-            )
-        return lambda columns, n: [
-            function(*values)
-            for values in zip(*(argument(columns, n) for argument in compiled))
-        ]
-
     def columns_referenced(self) -> Set[str]:
         referenced: Set[str] = set()
         for argument in self.args:
@@ -499,14 +340,6 @@ def compile_expression(expression: Optional[Expression],
     if expression is None:
         return None
     return expression.compile(layout)
-
-
-def compile_vector_expression(expression: Optional[Expression],
-                              layout: RowLayout) -> Optional[VectorExpression]:
-    """Vectorized analogue of :func:`compile_expression` (``None`` passes)."""
-    if expression is None:
-        return None
-    return expression.compile_vector(layout)
 
 
 # --------------------------------------------------------------------------

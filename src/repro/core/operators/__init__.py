@@ -1,42 +1,24 @@
-"""Push-based dataflow operators ("boxes and arrows", paper Section 3.3).
+"""Node-local operator state that the executor's pipeline calls into.
 
-Unlike the Volcano iterator model, PIER's operators *push*: a producer emits
-rows as fast as it can into an explicit intermediate queue, and consumers
-drain the queue.  The queue is what hides network latency when rows must be
-shipped to another node — in this reproduction the network-shipping stages
-live in :mod:`repro.core.executor`, while these operators implement the
-node-local portions of every plan (scans, selections, projections, the local
-halves of joins and aggregation) and are also usable stand-alone as a small
-single-node query engine.
+PIER's operators push rows through an operator graph (paper Section 3.3).
+In this reproduction that graph is :mod:`repro.core.opgraph`, compiled to
+closures over slotted rows and run by :mod:`repro.core.executor`; scans,
+selections, projections and joins are closures and executor runners, not
+classes.  What remains here is the one piece of operator *state* the
+pipeline keeps across rows: hash grouping with decomposable aggregates,
+used for partial aggregation, in-network combining and final merging.
 """
 
-from repro.core.operators.base import Operator, OutputQueue, chain
-from repro.core.operators.scan import ListScan, ProviderScan
-from repro.core.operators.selection import Selection
-from repro.core.operators.projection import Projection, Qualify
-from repro.core.operators.join import SymmetricHashJoin
 from repro.core.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateState,
     GroupByAggregate,
     make_aggregate,
 )
-from repro.core.operators.sink import Collector, Tee
 
 __all__ = [
-    "Operator",
-    "OutputQueue",
-    "chain",
-    "ListScan",
-    "ProviderScan",
-    "Selection",
-    "Projection",
-    "Qualify",
-    "SymmetricHashJoin",
     "GroupByAggregate",
     "AggregateState",
     "AGGREGATE_FUNCTIONS",
     "make_aggregate",
-    "Collector",
-    "Tee",
 ]

@@ -9,16 +9,17 @@ the final value.  The classes here provide the algebra that makes that work:
 * :class:`AggregateState` instances support ``add`` (accumulate one row),
   ``merge`` (combine two partials) and ``result`` (finalise), which is the
   standard decomposition into partial/intermediate/final aggregation;
-* :class:`GroupByAggregate` is the node-local operator used both for the
-  partial phase and, at the initiator, for final grouping of join results.
+* :class:`GroupByAggregate` holds one set of states per group: the executor
+  feeds it pre-extracted group keys and input values (:meth:`accumulate`)
+  on the partial phase, dict rows (:meth:`add_row`) at the initiator, and
+  folds shipped partials into it (:meth:`merge_partial`) at combiners and
+  group owners.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.expressions import Expression
-from repro.core.operators.base import Operator, Row
 from repro.exceptions import QueryError, SketchError
 from repro.sketches import (
     DEFAULT_LOG2M,
@@ -28,6 +29,8 @@ from repro.sketches import (
     sketch_from_bytes,
     sketch_to_bytes,
 )
+
+Row = Dict[str, Any]
 
 
 class AggregateState:
@@ -44,15 +47,6 @@ class AggregateState:
     def add(self, value: Any) -> None:
         """Accumulate a single input value."""
         raise NotImplementedError
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        """Accumulate a whole column of input values (columnar pipeline).
-
-        Semantically identical to calling :meth:`add` per value; states with
-        a cheaper bulk form (count, sum, min, max) override this.
-        """
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "AggregateState") -> None:
         """Fold another partial state of the same kind into this one."""
@@ -93,9 +87,6 @@ class CountState(AggregateState):
         if value is not None:
             self.count += 1
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        self.count += sum(1 for value in values if value is not None)
-
     def merge(self, other: "CountState") -> None:
         self.count += other.count
 
@@ -123,11 +114,6 @@ class SumState(AggregateState):
         if value is not None:
             self.total += value
             self.seen += 1
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        present = [value for value in values if value is not None]
-        self.total += sum(present)
-        self.seen += len(present)
 
     def merge(self, other: "SumState") -> None:
         self.total += other.total
@@ -158,11 +144,6 @@ class AvgState(AggregateState):
             self.total += value
             self.count += 1
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        present = [value for value in values if value is not None]
-        self.total += sum(present)
-        self.count += len(present)
-
     def merge(self, other: "AvgState") -> None:
         self.total += other.total
         self.count += other.count
@@ -192,13 +173,6 @@ class MinState(AggregateState):
         if self.current is None or value < self.current:
             self.current = value
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        present = [value for value in values if value is not None]
-        if present:
-            low = min(present)
-            if self.current is None or low < self.current:
-                self.current = low
-
     def merge(self, other: "MinState") -> None:
         self.add(other.current)
 
@@ -226,13 +200,6 @@ class MaxState(AggregateState):
             return
         if self.current is None or value > self.current:
             self.current = value
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        present = [value for value in values if value is not None]
-        if present:
-            high = max(present)
-            if self.current is None or high > self.current:
-                self.current = high
 
     def merge(self, other: "MaxState") -> None:
         self.add(other.current)
@@ -463,33 +430,24 @@ def state_from_payload(payload: Tuple) -> AggregateState:
         raise QueryError(f"unknown aggregate payload kind {kind!r}") from None
 
 
-class GroupByAggregate(Operator):
+class GroupByAggregate:
     """Hash group-by with decomposable aggregates.
 
     Parameters
     ----------
     group_by:
-        Columns to group on (empty list → a single global group).
+        Columns to group on (empty list → a single global group); they name
+        the group-key positions of :meth:`result_rows`.
     aggregates:
         List of ``(function, column, alias)`` triples or ``(function,
         column, alias, param)`` quadruples; ``column`` is ``None`` for
         ``count(*)`` and ``param`` configures parameterised aggregates
         (``approx_top_k``'s ``k``, ``approx_percentile``'s ``p``).
-    having:
-        Optional predicate over the output row (group columns + aliases).
     """
 
-    def __init__(
-        self,
-        group_by: Sequence[str],
-        aggregates: Sequence[Tuple],
-        having: Optional[Expression] = None,
-        name: Optional[str] = None,
-    ):
-        super().__init__(name or "GroupByAggregate")
+    def __init__(self, group_by: Sequence[str], aggregates: Sequence[Tuple]):
         self.group_by = list(group_by)
         self.aggregates = [self._normalize(spec) for spec in aggregates]
-        self.having = having
         self._groups: Dict[Tuple, List[AggregateState]] = {}
 
     @staticmethod
@@ -497,12 +455,6 @@ class GroupByAggregate(Operator):
         """Accept 3-tuples (legacy) or 4-tuples (with a parameter)."""
         param = spec[3] if len(spec) > 3 else None
         return (spec[0], spec[1], spec[2], param)
-
-    def _group_key(self, row: Row) -> Tuple:
-        try:
-            return tuple(row[column] for column in self.group_by)
-        except KeyError as error:
-            raise QueryError(f"group-by column missing from row: {error}") from None
 
     def _states_for(self, key: Tuple) -> List[AggregateState]:
         if key not in self._groups:
@@ -512,36 +464,26 @@ class GroupByAggregate(Operator):
             ]
         return self._groups[key]
 
-    def process(self, row: Row) -> None:
-        states = self._states_for(self._group_key(row))
-        for state, (_function, column, _alias, _param) in zip(states, self.aggregates):
-            value = 1 if column is None else row.get(column)
-            state.add(value)
-
     def accumulate(self, group_key: Tuple, values: Sequence[Any]) -> None:
-        """Compiled-pipeline entry: pre-extracted group key and input values.
+        """Add one input row: its group key and its aggregate input values.
 
-        ``values`` is aligned with :attr:`aggregates` (``count(*)`` slots
-        receive the constant 1), exactly what :meth:`process` would have
-        extracted by name.
+        ``values`` is aligned with :attr:`aggregates`; ``count(*)`` slots
+        receive the constant 1 and a missing input column ``None``.
         """
-        self.rows_in += 1
         states = self._states_for(group_key)
         for state, value in zip(states, values):
             state.add(value)
 
-    def accumulate_many(self, group_key: Tuple,
-                        columns: Sequence[Sequence[Any]], count: int) -> None:
-        """Columnar-pipeline entry: one call per group per chunk.
-
-        ``columns`` is aligned with :attr:`aggregates`; each entry holds the
-        ``count`` input values of that aggregate for this group's rows, as
-        :meth:`accumulate` would have received them one row at a time.
-        """
-        self.rows_in += count
-        states = self._states_for(group_key)
-        for state, values in zip(states, columns):
-            state.add_many(values)
+    def add_row(self, row: Row) -> None:
+        """Add one dict row, extracting its group key and inputs by name."""
+        try:
+            key = tuple(row[column] for column in self.group_by)
+        except KeyError as error:
+            raise QueryError(f"group-by column missing from row: {error}") from None
+        self.accumulate(key, [
+            1 if column is None else row.get(column)
+            for _function, column, _alias, _param in self.aggregates
+        ])
 
     def merge_partial(self, group_key: Tuple, payloads: Sequence[Tuple]) -> None:
         """Fold partial states received from another node into a group."""
@@ -577,13 +519,8 @@ class GroupByAggregate(Operator):
             row: Row = dict(zip(self.group_by, key))
             for state, (_function, _column, alias, _param) in zip(states, self.aggregates):
                 row[alias] = state.result()
-            if self.having is None or self.having.evaluate(row):
-                rows.append(row)
+            rows.append(row)
         return rows
-
-    def on_finish(self) -> None:
-        for row in self.result_rows():
-            self.emit(row)
 
     @property
     def group_count(self) -> int:

@@ -14,6 +14,13 @@ instantiates whatever graph it is handed, so each join strategy and the
 aggregation variants are purely graph **constructions** here — adding a new
 strategy means composing a new graph, not forking the executor.
 
+Lowering and compiling are separate steps.  :func:`build_opgraph` only
+builds the boxes and arrows, which is all ``explain`` and the optimizer's
+candidate costing need.  The executor then attaches :func:`compile_graph`
+to the graph once: every expression and column reference the operators
+touch is resolved against a slotted-row layout at plan time, and the one
+executor pipeline runs the resulting closures over plain tuples.
+
 Every node also carries an ``activation`` describing *when* it runs on a
 participating node:
 
@@ -33,12 +40,11 @@ from __future__ import annotations
 import enum
 import operator as _operator
 from dataclasses import dataclass, field
-from itertools import compress as _compress
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.expressions import compile_expression, compile_vector_expression
+from repro.core.expressions import compile_expression
 from repro.core.query import JoinStrategy, QuerySpec
-from repro.core.tuples import Chunk, Row, RowLayout, SlottedRow
+from repro.core.tuples import Row, RowLayout, SlottedRow
 from repro.exceptions import PlanError, QueryError
 
 
@@ -123,13 +129,9 @@ class OpGraph:
         self.nodes: List[OpNode] = []
         self.edges: List[OpEdge] = []
         #: Compiled row-pipeline artifacts (:class:`CompiledGraph`), attached
-        #: by :func:`build_opgraph` when lowering with ``compiled=True``;
-        #: ``None`` selects the interpreted dict-per-row path.
+        #: once by the executor that runs the graph; ``None`` on graphs that
+        #: are only described or costed.
         self.compiled: Optional["CompiledGraph"] = None
-        #: Columnar chunk kernels (:class:`ColumnarGraph`), attached when
-        #: lowering with ``columnar=True`` on top of the compiled artifacts;
-        #: ``None`` keeps the per-row compiled path.
-        self.columnar: Optional["ColumnarGraph"] = None
 
     # -------------------------------------------------------------- building
 
@@ -292,35 +294,19 @@ def fetch_sides(query: QuerySpec) -> Tuple[str, str]:
     return scan_alias, fetch_alias
 
 
-def build_opgraph(query: QuerySpec, compiled: bool = False,
-                  columnar: bool = False) -> OpGraph:
+def build_opgraph(query: QuerySpec) -> OpGraph:
     """Lower a :class:`QuerySpec` into its physical operator graph.
 
-    With ``compiled=True`` the lowering additionally runs the row-pipeline
-    compiler (:func:`compile_graph`): every filter/project/probe/agg
-    expression is resolved against its slotted-row layout exactly once, here
-    at plan time, and the executor's hot path runs the resulting closures.
-    ``columnar=True`` (which requires ``compiled=True``) further attaches
-    chunk kernels (:func:`compile_columnar`) so scan chains, partial
-    aggregation and scan sinks run column-at-a-time; operators without a
-    chunk kernel fall back to the compiled per-row artifacts.
-
     The built graph is cached on the query spec: every participant of an
-    N-node simulation lowers the *same* multicast spec, so the plan (and its
-    compiled closures) is shared instead of being rebuilt N times.  All
-    variants are cached independently (``explain`` lowers interpreted while
-    executors lower compiled or columnar), keyed additionally by
-    ``query_id`` — continuous queries allocate a fresh id (and spec clone)
-    per window, which naturally invalidates the cache.
+    N-node simulation lowers the *same* multicast spec, so the plan (and the
+    compiled artifacts the first executor attaches to it) is shared instead
+    of being rebuilt N times.  The cache is keyed by ``query_id`` —
+    continuous queries allocate a fresh id (and spec clone) per window,
+    which naturally invalidates it.
     """
-    if columnar and not compiled:
-        raise PlanError("columnar lowering requires the compiled row pipeline")
-    mode = (compiled, columnar)
-    cache = getattr(query, "_opgraph_cache", None)
-    if cache is not None:
-        cached = cache.get(mode)
-        if cached is not None and cached[0] == query.query_id:
-            return cached[1]
+    cached = getattr(query, "_opgraph_cache", None)
+    if cached is not None and cached[0] == query.query_id:
+        return cached[1]
     if query.strategy is JoinStrategy.AUTO:
         # Cost-based resolution: enumerate candidate strategy graphs, cost
         # each from the planning context attached to the spec (statistics,
@@ -348,29 +334,20 @@ def build_opgraph(query: QuerySpec, compiled: bool = False,
         _build_distributed_aggregation(graph)
     else:
         _build_scan(graph)
-    if compiled:
-        graph.compiled = compile_graph(graph)
-    if columnar:
-        graph.columnar = compile_columnar(graph)
-    if cache is None or next(iter(cache.values()))[0] != query.query_id:
-        cache = {}
-        query._opgraph_cache = cache
-    cache[mode] = (query.query_id, graph)
+    query._opgraph_cache = (query.query_id, graph)
     return graph
 
 
 # ------------------------------------------------------------------- helpers
 
 
-def scan_chain_parts(graph: OpGraph, scan_node: OpNode
-                     ) -> Tuple[Any, Optional[List[str]], Optional[OpNode]]:
+def _scan_chain_parts(graph: OpGraph, scan_node: OpNode
+                      ) -> Tuple[Any, Optional[List[str]], Optional[OpNode]]:
     """``(predicate, projection_columns, terminal)`` of one scan chain.
 
     Walks the LOCAL pipeline hanging off a SCAN node, collecting the filter
     predicate and projection columns until the first non-FILTER/PROJECT
-    operator (the chain's exchange terminal).  Shared by the row compiler
-    and the interpreted executor so the two pipelines classify chains
-    identically.
+    operator (the chain's exchange terminal).
     """
     predicate = None
     columns: Optional[List[str]] = None
@@ -665,7 +642,7 @@ def bloom_distribution_namespace(query: QuerySpec, alias: str) -> str:
 
 # ----------------------------------------------------------- row compilation
 #
-# The compiler below is the plan-time half of the compiled row pipeline: it
+# The compiler below is the plan-time half of the row pipeline: it
 # resolves every name the graph will ever look up — scan readers, filter and
 # residual predicates, projection slots, join/rehash key slots, aggregate
 # group and input columns, output projections — against slotted-row layouts
@@ -753,9 +730,9 @@ def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
                           right_layout: RowLayout) -> PairEmitter:
     """Compile the join tail (qualify + merge + residual + output projection).
 
-    The interpreted tail allocates two qualified dicts, a merged dict and a
-    projected dict per matched pair; the compiled tail is one tuple ``+``,
-    one residual closure, one itemgetter and the single boundary dict.
+    Qualifying and merging are layout operations done here, once; per
+    matched pair the tail is one tuple ``+``, one residual closure, one
+    itemgetter and the single boundary dict.
     """
     join = query.join
     merged = left_layout.qualified(join.left_alias).concat(
@@ -781,11 +758,10 @@ def _compile_pair_emitter(query: QuerySpec, left_layout: RowLayout,
 def _compile_agg(query: QuerySpec, layout: RowLayout) -> CompiledAgg:
     """Compile group-key / aggregate-input extraction over ``layout``.
 
-    Resolution is *exact* by design: the interpreted
-    :class:`~repro.core.operators.aggregate.GroupByAggregate` indexes rows
-    with the literal group-by name (missing → ``QueryError``) and reads
-    aggregate inputs with ``row.get`` (missing → ``None``); the compiled
-    form preserves both behaviours, surfacing the error at plan time.
+    Resolution is *exact* by design: a group-by name must be present
+    verbatim (missing → ``QueryError``, raised at plan time), while a
+    missing aggregate input column reads as ``None``, which every aggregate
+    skips.
     """
     group_slots = []
     for column in query.group_by:
@@ -825,7 +801,7 @@ def _compile_chain(graph: OpGraph, compiled: CompiledGraph,
     table = query.table(alias)
     base_layout = table.relation.schema.layout()
 
-    predicate_expr, columns, terminal = scan_chain_parts(graph, scan)
+    predicate_expr, columns, terminal = _scan_chain_parts(graph, scan)
     if terminal is None:  # pragma: no cover - every construction has a terminal
         return
 
@@ -871,7 +847,7 @@ def _compile_chain(graph: OpGraph, compiled: CompiledGraph,
             emit=_compile_pair_emitter(query, left, right),
         )
     elif kind is OpKind.PARTIAL_AGG:
-        # The interpreted path qualifies rows before aggregating; qualification
+        # Group-by and aggregate columns are qualified names; qualification
         # is a pure rename, so compiling against the qualified layout indexes
         # the same slots of the unchanged slotted row.
         compiled.aggs[terminal.op_id] = _compile_agg(
@@ -931,188 +907,3 @@ def compile_graph(graph: OpGraph) -> CompiledGraph:
                     rehash_layouts[join.right_alias],
                 )
     return compiled
-
-
-# ------------------------------------------------------- columnar compilation
-#
-# The columnar compiler is a second, optional layer on top of the compiled
-# artifacts: where the row compiler turns plan-time name resolution into
-# per-row closures, the columnar compiler turns the closures themselves into
-# chunk kernels — one pass over a column instead of one call per row.  Only
-# the operators that dominate the hot path get kernels (scan chains, partial
-# aggregation grouping, scan sinks); everything else (probe pair emission,
-# fetch-matches, semi-join rejoin) converts the chunk back to slotted rows
-# and reuses the compiled per-row artifacts, which is the documented
-# chunk → row fallback.
-
-#: A scan-chain chunk kernel: stored base dicts → one dense output chunk.
-ChunkKernel = Callable[[List[Row]], Chunk]
-
-
-@dataclass
-class ColumnarChain:
-    """Fused Scan → (Filter) → (Project) chunk kernel of one table alias."""
-
-    alias: str
-    namespace: str
-    #: Stored dicts → dense chunk: column extraction, vectorized predicate,
-    #: mask compaction and projection in one call.
-    kernel: ChunkKernel
-    #: Layout of the chunk the kernel emits (identical to the compiled
-    #: chain's layout, so downstream slot artifacts are shared).
-    layout: RowLayout
-    #: The exchange operator the chain feeds (rehash/fetch/bloom/agg/sink).
-    terminal: OpNode
-
-
-@dataclass
-class ColumnarAgg:
-    """Columnar group-key and aggregate-input extraction for partial agg."""
-
-    #: Slots of the group-by columns in the chunk layout.
-    group_slots: Tuple[int, ...]
-    #: One per aggregate: ``(chunk, row_indices) -> input value list``
-    #: (``count(*)`` yields constant 1s, a missing column constant ``None``s,
-    #: matching the compiled extractors).
-    extractors: Tuple[Callable[[Chunk, List[int]], list], ...]
-
-
-@dataclass
-class ColumnarGraph:
-    """Chunk kernels of one operator graph, keyed by ``op_id``.
-
-    Slot-level artifacts (rehash/bloom key slots, fetch and probe emitters)
-    live on the :class:`CompiledGraph` and are shared: columnar chunks carry
-    the same layouts the row compiler resolved against.
-    """
-
-    chains: Dict[int, ColumnarChain] = field(default_factory=dict)
-    aggs: Dict[int, ColumnarAgg] = field(default_factory=dict)
-    #: Scan-sink chunk emitters: chunk → boundary dicts.
-    sinks: Dict[int, Callable[[Chunk], List[Row]]] = field(default_factory=dict)
-
-
-def _compile_chain_kernel(query: QuerySpec, alias: str, predicate_expr,
-                          columns: Optional[List[str]]) -> Tuple[ChunkKernel, RowLayout]:
-    """Fuse one scan chain into a chunk kernel.
-
-    Reads from storage only the base columns the predicate or the output
-    actually touches, evaluates the predicate as one vectorized pass, and
-    compacts the survivors into the chain's output layout.
-    """
-    base_layout = query.table(alias).relation.schema.layout()
-    out_names = list(columns) if columns else list(base_layout.names)
-    out_layout = RowLayout(columns) if columns else base_layout
-
-    read = set(out_names)
-    if predicate_expr is not None:
-        from repro.exceptions import ExpressionError
-
-        for name in predicate_expr.columns_referenced():
-            slot = base_layout.slot(name, ambiguity_error=ExpressionError)
-            if slot is not None:
-                read.add(base_layout.names[slot])
-            # Unresolvable references are left out so the compile below
-            # raises the same plan-time ExpressionError the row path does.
-    read_names = [name for name in base_layout.names if name in read]
-    read_layout = RowLayout(read_names)
-    predicate = compile_vector_expression(predicate_expr, read_layout)
-    out_slots = [read_layout.slots[name] for name in out_names]
-
-    def kernel(values: List[Row]) -> Chunk:
-        n = len(values)
-        if not n:
-            return Chunk.empty(out_layout)
-        cols = [[value[name] for value in values] for name in read_names]
-        if predicate is None:
-            return Chunk(out_layout, [cols[s] for s in out_slots], n)
-        mask = predicate(cols, n)
-        return Chunk(out_layout,
-                     [list(_compress(cols[s], mask)) for s in out_slots])
-
-    return kernel, out_layout
-
-
-def _compile_columnar_agg(query: QuerySpec, layout: RowLayout) -> ColumnarAgg:
-    """Columnar analogue of :func:`_compile_agg` over a qualified layout."""
-    group_slots = []
-    for column in query.group_by:
-        slot = layout.slots.get(column)
-        if slot is None:
-            raise QueryError(f"group-by column missing from row: {column!r}")
-        group_slots.append(slot)
-
-    extractors: List[Callable[[Chunk, List[int]], list]] = []
-    for aggregate in query.aggregates:
-        if aggregate.column is None:
-            extractors.append(lambda _chunk, indices: [1] * len(indices))
-        else:
-            slot = layout.slots.get(aggregate.column)
-            if slot is None:
-                extractors.append(lambda _chunk, indices: [None] * len(indices))
-            else:
-                extractors.append(
-                    lambda chunk, indices, _s=slot: [
-                        chunk.columns[_s][i] for i in indices
-                    ]
-                )
-    return ColumnarAgg(group_slots=tuple(group_slots),
-                       extractors=tuple(extractors))
-
-
-def _compile_chunk_sink(query: QuerySpec,
-                        qualified: RowLayout) -> Callable[[Chunk], List[Row]]:
-    """Chunk → boundary dicts for a scan sink (vectorized output projection)."""
-    from repro.exceptions import SchemaError
-
-    if query.output_columns and not query.is_aggregation:
-        names = tuple(query.output_columns)
-        slots = []
-        missing = []
-        for name in names:
-            index = qualified.slots.get(name)
-            if index is None:
-                missing.append(name)
-            else:
-                slots.append(index)
-        if missing:
-            raise SchemaError(f"projection references missing columns {missing}")
-    else:
-        names = qualified.names
-        slots = list(range(len(names)))
-
-    def emit(chunk: Chunk) -> List[Row]:
-        if not chunk.length:
-            return []
-        selected = [chunk.columns[s] for s in slots]
-        return [dict(zip(names, values)) for values in zip(*selected)]
-
-    return emit
-
-
-def compile_columnar(graph: OpGraph) -> ColumnarGraph:
-    """Attach chunk kernels to every scan chain (and its terminal) of ``graph``."""
-    query = graph.query
-    columnar = ColumnarGraph()
-    for scan in graph.nodes_of_kind(OpKind.SCAN):
-        alias = scan.params["alias"]
-        predicate_expr, columns, terminal = scan_chain_parts(graph, scan)
-        if terminal is None:  # pragma: no cover - every construction has a terminal
-            continue
-        kernel, layout = _compile_chain_kernel(query, alias, predicate_expr, columns)
-        columnar.chains[scan.op_id] = ColumnarChain(
-            alias=alias,
-            namespace=query.table(alias).namespace,
-            kernel=kernel,
-            layout=layout,
-            terminal=terminal,
-        )
-        if terminal.kind is OpKind.PARTIAL_AGG:
-            columnar.aggs[terminal.op_id] = _compile_columnar_agg(
-                query, layout.qualified(alias)
-            )
-        elif terminal.kind is OpKind.SINK:
-            columnar.sinks[terminal.op_id] = _compile_chunk_sink(
-                query, layout.qualified(alias)
-            )
-    return columnar

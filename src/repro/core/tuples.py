@@ -11,7 +11,7 @@ processor does).
 
 Inside the dataflow, dicts are too slow: re-qualifying, merging and
 projecting a dict per operator allocates and hashes on every tuple.  The
-compiled row pipeline instead works on *slotted* rows — plain Python tuples
+executor's row pipeline instead works on *slotted* rows — plain Python tuples
 whose positions are described by a :class:`RowLayout` (an ordered name list
 with a precomputed name→slot map).  A layout compiles the classic row
 operations once, at plan time:
@@ -23,8 +23,9 @@ operations once, at plan time:
 * :meth:`RowLayout.to_dict` — the dict view restored only at the
   client/cursor boundary.
 
-The module-level ``qualify`` / ``project_row`` / ``merge_rows`` dict helpers
-remain the interpreted path (``SimulationConfig(compiled_rows=False)``).
+The module-level ``qualify`` / ``project_row`` / ``merge_rows`` helpers are
+the same operations on dict rows, for code that evaluates queries over
+plain dicts (the test suite's centralized reference evaluator).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class RowLayout:
     def getter(self, names: Sequence[str]) -> Callable[[SlottedRow], SlottedRow]:
         """Compiled projection onto ``names`` (exact-name resolution).
 
-        Matches the interpreted :func:`project_row` contract: every name must
+        Matches the :func:`project_row` contract: every name must
         be present verbatim, and all missing names are reported at once — but
         at plan time instead of per row.
         """
@@ -154,90 +155,6 @@ class RowLayout:
     def to_dict(self, row: SlottedRow) -> Row:
         """Dict view of a slotted row (the client/cursor boundary)."""
         return dict(zip(self.names, row))
-
-
-class Chunk:
-    """A columnar batch of slotted rows: one value array per layout slot.
-
-    The columnar pipeline moves data between operators as chunks instead of
-    per-row tuples, so a compiled expression touches a whole column in one
-    pass rather than invoking a closure per row.  The header is the row
-    ``length``; validity is expressed as a transient boolean mask that
-    :meth:`compress` folds away, so every chunk in flight is dense — slot
-    ``columns[s][i]`` is row ``i``'s value for ``layout.names[s]``, and all
-    columns share the same length.
-
-    Chunks convert losslessly to and from the row pipeline's slotted tuples
-    (:meth:`from_rows` / :meth:`rows`), which is how operators that keep
-    per-row kernels (probe, fetch, semi-join emission) fall back without a
-    separate code path, and to plain dicts only at the result boundary
-    (:meth:`dicts`).
-    """
-
-    __slots__ = ("layout", "columns", "length")
-
-    def __init__(self, layout: RowLayout, columns: Sequence[List[Any]],
-                 length: Optional[int] = None):
-        self.layout = layout
-        self.columns: List[List[Any]] = list(columns)
-        if length is None:
-            length = len(self.columns[0]) if self.columns else 0
-        self.length = length
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Chunk({list(self.layout.names)!r}, rows={self.length})"
-
-    @classmethod
-    def empty(cls, layout: RowLayout) -> "Chunk":
-        """A zero-row chunk of the given layout."""
-        return cls(layout, [[] for _ in layout.names], 0)
-
-    @classmethod
-    def from_rows(cls, layout: RowLayout, rows: Sequence[SlottedRow]) -> "Chunk":
-        """Transpose slotted rows into a chunk (the row → chunk boundary)."""
-        if not rows:
-            return cls.empty(layout)
-        return cls(layout, [list(column) for column in zip(*rows)], len(rows))
-
-    def rows(self) -> List[SlottedRow]:
-        """Transpose back to slotted rows (the chunk → row fallback)."""
-        if not self.length:
-            return []
-        return list(zip(*self.columns))
-
-    def dicts(self) -> List[Row]:
-        """Dict views of every row (the client/cursor boundary)."""
-        names = self.layout.names
-        return [dict(zip(names, row)) for row in zip(*self.columns)] if self.length else []
-
-    def column(self, name: str) -> List[Any]:
-        """The value array of a column, resolved by exact name."""
-        return self.columns[self.layout.slots[name]]
-
-    def compress(self, mask: Sequence[Any]) -> "Chunk":
-        """Dense chunk keeping only rows whose mask entry is truthy."""
-        kept = sum(1 for keep in mask if keep)
-        if kept == self.length:
-            return self
-        if not kept:
-            return Chunk.empty(self.layout)
-        columns = [
-            [value for value, keep in zip(column, mask) if keep]
-            for column in self.columns
-        ]
-        return Chunk(self.layout, columns, kept)
-
-    def take(self, indices: Sequence[int]) -> "Chunk":
-        """Chunk of the given row indices, in the given order."""
-        columns = [[column[i] for i in indices] for column in self.columns]
-        return Chunk(self.layout, columns, len(indices))
-
-    def select(self, slots: Sequence[int], layout: RowLayout) -> "Chunk":
-        """Projection as column selection; the value arrays are shared."""
-        return Chunk(layout, [self.columns[s] for s in slots], self.length)
 
 
 @dataclass(frozen=True)

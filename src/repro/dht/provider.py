@@ -49,6 +49,10 @@ reply (or local resolution) arrives.  Three mechanisms bound that wait:
   (the executor uses the query id) and sweep everything still pending with
   :meth:`Provider.cancel_pending` at query teardown.
 
+Puts are not retried: renewal repairs lost soft state.  The exception is a
+:meth:`Provider.put_chunk` wave (query fragments, never renewed) whose keys
+the overlay cannot route; those fragments move to fallback keys.
+
 Per-scope delivery accounting (issued / completed / failed / cancelled and
 the put fragments bounced off dead nodes) backs the client's query
 completeness report.
@@ -58,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dht.api import RoutingLayer
 from repro.dht.multicast import MulticastHandler, MulticastService
@@ -76,6 +80,15 @@ DEFAULT_SWEEP_PERIOD_S = 5.0
 #: How long a cancelled scope is remembered, so requests whose overlay
 #: lookups were still resolving at cancellation time are suppressed too.
 CANCELLED_SCOPE_TTL_S = 600.0
+#: Fallback placements a :meth:`Provider.put_chunk` fragment tries when the
+#: overlay cannot route its key (a confirmed-dead node's zone is a hole no
+#: live node owns).  Rehash fragments live only as long as their query, so
+#: no renewal repairs them; every publisher derives the same fallback keys
+#: from the resourceID, so both sides of a join still meet at a live node.
+#: Each fallback key lands in the hole again with the hole's share of the
+#: key space (a quarter when one of four nodes dies), so a single fallback
+#: still loses a visible share of fragments; a second makes that rare.
+FRAGMENT_FALLBACKS = 2
 
 #: Callback type for ``get``: receives a list of :class:`DHTItem`.
 GetCallback = Callable[[List["DHTItem"]], None]
@@ -499,8 +512,8 @@ class Provider:
                   lifetime: float = DEFAULT_LIFETIME_S,
                   item_bytes: int = DEFAULT_ITEM_BYTES,
                   target: Optional[int] = None) -> List[int]:
-        """Columnar companion of :meth:`put_batch`: one namespace, one
-        lifetime, one per-item size — the common shape of a rehash wave.
+        """Parallel-array companion of :meth:`put_batch`: one namespace, one
+        lifetime, one per-item size — the shape of a rehash wave.
 
         Items whose keys share an owner travel as *slices* of parallel
         ``resource_ids``/``values``/``instance_ids`` arrays in a single
@@ -532,24 +545,48 @@ class Provider:
                 }
                 self._route_put_request(request, target=target)
             return instance_ids
+        self._route_chunk(namespace, resource_ids, values, instance_ids, keys,
+                          range(count), lifetime, item_bytes, target, attempt=0)
+        return instance_ids
+
+    def _route_chunk(self, namespace: str, resource_ids: Sequence[Any],
+                     values: Sequence[Any], instance_ids: List[int],
+                     keys: List[int], indices: Iterable[int], lifetime: float,
+                     item_bytes: int, target: Optional[int],
+                     attempt: int) -> None:
+        """Resolve the owners of ``indices`` and ship one slice per owner.
+
+        Keys the overlay cannot route (their zone belongs to a dead node)
+        move to their next fallback key, up to :data:`FRAGMENT_FALLBACKS`
+        times; only fragments unroutable at the last fallback count as
+        lost.  Items confined to a ``target`` have no fallback.
+        """
         indices_by_key: Dict[int, List[int]] = {}
-        for i, key in enumerate(keys):
-            indices_by_key.setdefault(key, []).append(i)
+        for i in indices:
+            indices_by_key.setdefault(keys[i], []).append(i)
 
         def _deliver(owner: int, resolved: List[int]) -> None:
-            indices = [i for key in resolved for i in indices_by_key[key]]
+            chosen = [i for key in resolved for i in indices_by_key[key]]
             destination = owner if target is None else target
             self._send_put_chunk(destination, namespace, resource_ids, values,
-                                 instance_ids, keys, indices, lifetime,
+                                 instance_ids, keys, chosen, lifetime,
                                  item_bytes)
 
-        self.routing.lookup_batch(
-            list(indices_by_key), _deliver,
-            on_unresolved=lambda lost_keys: self._record_put_bounce(
-                namespace,
-                sum(len(indices_by_key[key]) for key in lost_keys)),
-        )
-        return instance_ids
+        def _unresolved(lost_keys: List[int]) -> None:
+            lost = [i for key in lost_keys for i in indices_by_key[key]]
+            if target is not None or attempt == FRAGMENT_FALLBACKS:
+                self._record_put_bounce(namespace, len(lost))
+                return
+            fallback = list(keys)
+            for i in lost:
+                fallback[i] = hash_key(namespace,
+                                       ("fallback", attempt + 1, resource_ids[i]))
+            self._route_chunk(namespace, resource_ids, values, instance_ids,
+                              fallback, lost, lifetime, item_bytes, None,
+                              attempt + 1)
+
+        self.routing.lookup_batch(list(indices_by_key), _deliver,
+                                  on_unresolved=_unresolved)
 
     def _send_put_chunk(self, destination: int, namespace: str,
                         resource_ids: Sequence[Any], values: Sequence[Any],

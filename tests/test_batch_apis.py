@@ -4,7 +4,8 @@ The contract under test: batched operations are *semantically identical* to
 their scalar equivalents — same stored items, same ``newData`` callbacks,
 same ``get`` results — while collapsing per-item messages into per-
 destination messages.  Covered for both CAN and Chord, including a node
-failing mid-batch.
+failing mid-batch.  ``put_chunk`` (one namespace, lifetime and item size per
+wave, shipped as parallel arrays) is held to the same contract.
 """
 
 import math
@@ -122,6 +123,121 @@ def test_put_batch_uses_fewer_messages_than_scalar_puts(dht):
     batched_puts = net_a.stats.protocol_messages.get("prov.put_batch", 0)
     scalar_puts = net_b.stats.protocol_messages.get("prov.put", 0)
     assert 0 < batched_puts < scalar_puts
+
+
+# ----------------------------------------------------------- put_chunk
+
+
+def test_put_chunk_splits_items_across_owners():
+    network, providers, builder = build_network(num_nodes=12)
+    resource_ids = [f"r{i}" for i in range(24)]
+    values = [{"v": i} for i in range(24)]
+    instance_ids = providers[0].put_chunk("t", resource_ids, values,
+                                          item_bytes=64)
+    assert len(instance_ids) == len(set(instance_ids)) == 24
+    network.run_until_idle()
+    for resource_id, value in zip(resource_ids, values):
+        owner = builder.owner_of_key(hash_key("t", resource_id))
+        items = providers[owner].get_local("t", resource_id)
+        assert [item.value for item in items] == [value]
+    total = sum(len(list(provider.lscan("t")))
+                for provider in providers.values())
+    assert total == 24
+
+
+def test_put_chunk_fires_new_data_per_item():
+    network, providers, _builder = build_network(num_nodes=6)
+    arrivals = []
+    for provider in providers.values():
+        provider.on_new_data("t", lambda item: arrivals.append(item.resource_id))
+    providers[2].put_chunk("t", ["x", "y", "z"], [1, 2, 3])
+    network.run_until_idle()
+    assert sorted(arrivals) == ["x", "y", "z"]
+
+
+def test_put_chunk_empty_is_a_noop():
+    network, providers, _builder = build_network(num_nodes=4)
+    assert providers[0].put_chunk("t", [], []) == []
+    network.run_until_idle()
+    assert all(list(provider.lscan("t")) == []
+               for provider in providers.values())
+
+
+def test_put_chunk_without_batching_degrades_to_scalar_puts():
+    network, providers, builder = build_network(num_nodes=8, batching=False)
+    resource_ids = list(range(10))
+    providers[1].put_chunk("t", resource_ids, [str(r) for r in resource_ids])
+    network.run_until_idle()
+    for resource_id in resource_ids:
+        owner = builder.owner_of_key(hash_key("t", resource_id))
+        items = providers[owner].get_local("t", resource_id)
+        assert [item.value for item in items] == [str(resource_id)]
+
+
+def test_put_chunk_target_confines_items_to_computation_node():
+    network, providers, _builder = build_network(num_nodes=12)
+    providers[0].put_chunk("t", ["p", "q"], [10, 11], target=5)
+    network.run_until_idle()
+    assert [item.value for item in providers[5].get_local("t", "p")] == [10]
+    assert [item.value for item in providers[5].get_local("t", "q")] == [11]
+    for address, provider in providers.items():
+        if address != 5:
+            assert provider.get_local("t", "p") == []
+            assert provider.get_local("t", "q") == []
+
+
+def test_put_chunk_matches_put_batch_storage_state():
+    """Shipping a wave as parallel arrays is a pure encoding change: after
+    the dust settles, per-owner storage is identical to scalar puts."""
+    resource_ids = [f"k{i}" for i in range(16)]
+    values = [i * 10 for i in range(16)]
+
+    def final_state(put):
+        network, providers, _builder = build_network(num_nodes=12)
+        put(providers[0], resource_ids, values)
+        network.run_until_idle()
+        return {
+            address: sorted((item.resource_id, item.value)
+                            for item in provider.lscan("t"))
+            for address, provider in providers.items()
+        }
+
+    def chunk_put(provider, ids, vals):
+        provider.put_chunk("t", ids, vals)
+
+    def scalar_put(provider, ids, vals):
+        for resource_id, value in zip(ids, vals):
+            provider.put("t", resource_id, None, value)
+
+    assert final_state(chunk_put) == final_state(scalar_put)
+
+
+def test_put_chunk_unroutable_keys_fall_back_to_one_live_owner():
+    """Fragments keyed into a dead node's zone are not lost: every publisher
+    moves them to the same fallback key, so both sides of a join meet."""
+    network, providers, builder = build_network(num_nodes=8)
+    victim = 5
+    ids = [f"k{i}" for i in range(200)
+           if builder.owner_of_key(hash_key("t", f"k{i}")) == victim]
+    assert ids, "need keys owned by the victim"
+    network.fail_node(victim)
+    for address, provider in providers.items():
+        if address != victim:
+            provider.routing.mark_neighbor_dead(victim)
+    providers[0].put_chunk("t", ids, ["left"] * len(ids))
+    providers[1].put_chunk("t", ids, ["right"] * len(ids))
+    network.run_until_idle()
+    placed = {}
+    for address, provider in providers.items():
+        if address != victim:
+            for item in provider.lscan("t"):
+                placed.setdefault(item.resource_id, []).append((address, item.value))
+    assert sorted(placed) == sorted(ids)
+    for copies in placed.values():
+        assert len({address for address, _value in copies}) == 1
+        assert sorted(value for _address, value in copies) == ["left", "right"]
+    assert providers[0].put_bounces_by_namespace == {}
+    assert providers[1].put_bounces_by_namespace == {}
 
 
 # ------------------------------------------------------ mid-batch failure

@@ -1,13 +1,14 @@
-"""Executor-pipeline equivalence: same rows, same errors, both DHTs.
+"""Equivalence with the reference semantics: same values, same rows.
 
-The compiled row pipeline (slotted tuples + plan-time expression
-compilation) and the columnar chunk pipeline layered on it must both be
-pure representation changes: every expression evaluates to the same value
-(or fails with the same error class), and every join strategy and
-aggregation shape returns the identical result multiset under all three
-executor modes — interpreted (``compiled_rows=False``), compiled per-row
-(``columnar=False``) and columnar chunks (the default) — on CAN and Chord
-alike.
+The executor runs one pipeline: slotted rows through closures compiled at
+plan time.  Two properties pin it to the reference semantics:
+
+* every compiled expression evaluates to what :meth:`Expression.evaluate`
+  returns on the equivalent dict row (or fails with the same error class);
+* every join strategy (AUTO included), a selection-only scan and the flat,
+  hierarchical and initiator aggregation shapes return exactly the result
+  multiset of the centralized oracle (``tests/oracle.py``), on CAN and
+  Chord alike.
 """
 
 import pytest
@@ -25,12 +26,15 @@ from repro.core.expressions import (
     compile_expression,
     lit,
 )
-from repro.core.query import JoinStrategy
+from repro.core.opgraph import OpKind, build_opgraph, compile_graph
+from repro.core.query import JoinClause, JoinStrategy, QuerySpec, TableRef
+from repro.core.sql import SQLPlanner
 from repro.core.tuples import RowLayout
 from repro.exceptions import ExpressionError, SchemaError
 from repro.harness import run_query
-from repro.workloads import JoinWorkload, WorkloadConfig
+from repro.workloads import JoinWorkload, NetworkMonitoringWorkload, WorkloadConfig
 from tests.conftest import build_pier, build_workload, load_join_tables
+from tests.oracle import all_rows, assert_same_rows, oracle_rows
 
 # --------------------------------------------------------------- expressions
 
@@ -85,10 +89,10 @@ def test_every_fixture_expression_is_equivalent_compiled(values):
     slotted = tuple(values)
     environment = dict(zip(MERGED_LAYOUT.names, slotted))
     for expression in EXPRESSION_FIXTURES:
-        interpreted = _outcome(lambda e=expression: e.evaluate(environment))
+        reference = _outcome(lambda e=expression: e.evaluate(environment))
         compiled = _outcome(lambda e=expression: e.compile(MERGED_LAYOUT)(slotted))
-        assert interpreted == compiled, f"{expression!r} diverged: " \
-            f"interpreted={interpreted} compiled={compiled}"
+        assert reference == compiled, f"{expression!r} diverged: " \
+            f"evaluate={reference} compiled={compiled}"
 
 
 def test_resolution_errors_surface_at_compile_time():
@@ -120,132 +124,127 @@ def test_projection_errors_match_interpreted():
 # ------------------------------------------------------------ join strategies
 
 
-#: The three executor pipelines, as SimulationConfig overrides.
-PIPELINES = {
-    "interpreted": dict(compiled_rows=False),
-    "compiled": dict(compiled_rows=True, columnar=False),
-    "columnar": dict(compiled_rows=True, columnar=True),
-}
+def _join_relations(workload):
+    return {
+        workload.r_relation.name: all_rows(workload.r_by_node),
+        workload.s_relation.name: all_rows(workload.s_by_node),
+    }
 
 
-def _strategy_rows(strategy, dht, mode, num_nodes=16):
-    workload = build_workload(num_nodes)
-    pier = build_pier(num_nodes, dht=dht, **PIPELINES[mode])
+def _run_join(query, workload, dht, num_nodes):
+    pier = build_pier(num_nodes, dht=dht)
     load_join_tables(pier, workload)
-    query = workload.make_query(strategy=strategy)
-    result = run_query(pier, query, initiator=0)
-    return sorted(tuple(sorted(row.items())) for row in result.handle.rows)
+    return run_query(pier, query, initiator=0).handle.rows
 
 
-# ``list(JoinStrategy)`` deliberately includes AUTO: cost-based plans must
-# be row-identical across all three pipelines too.
+def test_oracle_reproduces_the_fig3_golden_answer():
+    workload = build_workload(16)
+    query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+    expected = oracle_rows(query, _join_relations(workload))
+    assert expected
+    assert_same_rows(expected, workload.expected_results())
+
+
+# ``list(JoinStrategy)`` deliberately includes AUTO: the cost-based plan must
+# return the oracle's rows too.
 @pytest.mark.parametrize("dht", ["can", "chord"])
 @pytest.mark.parametrize("strategy", list(JoinStrategy))
-def test_all_join_strategies_identical_rows_all_pipelines(strategy, dht):
-    rows_by_mode = {mode: _strategy_rows(strategy, dht, mode)
-                    for mode in PIPELINES}
-    assert rows_by_mode["columnar"], \
-        "workload must produce rows for the comparison to bite"
-    assert rows_by_mode["columnar"] == rows_by_mode["compiled"] \
-        == rows_by_mode["interpreted"]
+def test_all_join_strategies_match_oracle(strategy, dht):
+    workload = build_workload(16)
+    query = workload.make_query(strategy=strategy)
+    expected = oracle_rows(query, _join_relations(workload))
+    assert expected, "workload must produce rows for the comparison to bite"
+    assert_same_rows(_run_join(query, workload, dht, 16), expected)
 
 
-def test_auto_resolves_to_same_strategy_under_both_pipelines():
-    """AUTO's cost decision is pipeline-independent (same stats, same
-    topology), so A/B runs compare the same physical plan."""
-
-    def resolved(compiled):
-        workload = build_workload(16)
-        pier = build_pier(16, compiled_rows=compiled)
-        load_join_tables(pier, workload)
-        query = workload.make_query(strategy=JoinStrategy.AUTO)
-        run_query(pier, query, initiator=0)
-        return query.strategy
-
-    first, second = resolved(True), resolved(False)
-    assert first is second
-    assert first in JoinStrategy.physical()
-
-
-def test_unprojected_join_rows_identical_all_pipelines():
-    """Without an output list the merged qualified row crosses the boundary."""
-    from repro.core.query import JoinClause, QuerySpec, TableRef
-
-    def run(mode):
-        workload = build_workload(12)
-        pier = build_pier(12, **PIPELINES[mode])
-        load_join_tables(pier, workload)
-        query = QuerySpec(
-            tables=[TableRef(workload.r_relation, "R"),
-                    TableRef(workload.s_relation, "S")],
-            output_columns=["R.pkey", "S.pkey", "S.num3"],
-            join=JoinClause("R", "num1", "S", "pkey"),
-        )
-        result = run_query(pier, query, initiator=0)
-        return sorted(tuple(sorted(row.items())) for row in result.handle.rows)
-
-    assert run("columnar") == run("compiled") == run("interpreted")
-
-
-# -------------------------------------------------------------- aggregation
-
-
-def _aggregation_rows(mode, hierarchical=False, distributed=True):
-    from repro.core.sql import SQLPlanner
-    from repro.workloads import NetworkMonitoringWorkload
-
-    workload = NetworkMonitoringWorkload(num_nodes=20, seed=5)
-    pier = build_pier(20, **PIPELINES[mode])
-    pier.load_relation(workload.intrusions, workload.intrusions_by_node)
-    planner = SQLPlanner(workload.catalog())
-    query = planner.plan_sql(
-        "SELECT I.fingerprint, count(*) AS cnt, max(I.port) AS hi "
-        "FROM intrusions I GROUP BY I.fingerprint"
+def test_join_without_local_predicates_matches_oracle():
+    """No selections and no residual: every key match crosses the boundary."""
+    workload = build_workload(12)
+    query = QuerySpec(
+        tables=[TableRef(workload.r_relation, "R"),
+                TableRef(workload.s_relation, "S")],
+        output_columns=["R.pkey", "S.pkey", "S.num3"],
+        join=JoinClause("R", "num1", "S", "pkey"),
     )
+    expected = oracle_rows(query, _join_relations(workload))
+    assert expected
+    assert_same_rows(_run_join(query, workload, "can", 12), expected)
+
+
+# ------------------------------------------------------- scans and aggregation
+
+
+def _monitoring_rows(sql, dht, hierarchical=False, distributed=True):
+    workload = NetworkMonitoringWorkload(num_nodes=20, seed=5)
+    pier = build_pier(20, dht=dht)
+    pier.load_relation(workload.intrusions, workload.intrusions_by_node)
+    query = SQLPlanner(workload.catalog()).plan_sql(sql)
     query.hierarchical_aggregation = hierarchical
     query.distributed_aggregation = distributed
+    relations = {"intrusions": all_rows(workload.intrusions_by_node)}
+    expected = oracle_rows(query, relations)
     result = run_query(pier, query, initiator=0)
-    return sorted(tuple(sorted(row.items())) for row in result.rows)
+    return result.rows, expected
 
 
+@pytest.mark.parametrize("dht", ["can", "chord"])
+def test_selection_scan_matches_oracle(dht):
+    rows, expected = _monitoring_rows(
+        "SELECT I.report_id, I.fingerprint, I.port FROM intrusions I "
+        "WHERE I.port > 100", dht)
+    assert expected
+    assert_same_rows(rows, expected)
+
+
+@pytest.mark.parametrize("dht", ["can", "chord"])
 @pytest.mark.parametrize("variant", ["flat", "hierarchical", "initiator"])
-def test_aggregation_identical_rows_all_pipelines(variant):
+def test_aggregation_matches_oracle(variant, dht):
+    """GROUP BY with exact aggregates, a derived column and HAVING."""
     kwargs = {
         "flat": dict(),
         "hierarchical": dict(hierarchical=True),
         "initiator": dict(distributed=False),
     }[variant]
-    rows_by_mode = {mode: _aggregation_rows(mode, **kwargs)
-                    for mode in PIPELINES}
-    assert rows_by_mode["columnar"]
-    assert rows_by_mode["columnar"] == rows_by_mode["compiled"] \
-        == rows_by_mode["interpreted"]
+    rows, expected = _monitoring_rows(
+        "SELECT I.fingerprint, count(*) AS cnt, max(I.port) AS hi, "
+        "min(I.port) AS lo, avg(I.port) AS mean, "
+        "count(*) * sum(I.port) AS score "
+        "FROM intrusions I GROUP BY I.fingerprint HAVING cnt > 2",
+        dht, **kwargs)
+    assert expected and all("score" in row for row in expected)
+    assert_same_rows(rows, expected)
 
 
-# ------------------------------------------------------------- error parity
+def test_fully_filtered_scan_produces_zero_results_end_to_end():
+    """A predicate that rejects every row sends nothing through rehash and
+    probe, without hanging or erroring."""
+    workload = build_workload(8)
+    query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+    query.local_predicates["R"] = compare("R.num2", ">", 1e9)
+    assert oracle_rows(query, _join_relations(workload)) == []
+    assert _run_join(query, workload, "can", 8) == []
 
 
-def test_bad_predicate_raises_expression_error_in_both_pipelines():
-    """A predicate over a nonexistent column fails identically in both modes.
-
-    The compiled pipeline surfaces it at plan (graph-lowering) time, the
-    interpreted one on the first scanned row — both as ExpressionError while
-    the simulation advances.
-    """
-    for compiled in (True, False):
-        workload = build_workload(8)
-        pier = build_pier(8, compiled_rows=compiled)
-        load_join_tables(pier, workload)
-        query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
-        query.local_predicates["R"] = compare("no_such_column", ">", 1)
-        with pytest.raises(ExpressionError):
-            run_query(pier, query, initiator=0)
+# ------------------------------------------------------------- plan time
 
 
-def test_compiled_is_default_and_interpreted_is_optional():
+def test_compiled_graph_covers_every_scan_chain():
     workload = JoinWorkload(WorkloadConfig(num_nodes=8, seed=3))
-    pier_default = build_pier(8)
-    load_join_tables(pier_default, workload)
-    assert pier_default.executor(0).compiled_rows is True
-    pier_off = build_pier(8, compiled_rows=False)
-    assert pier_off.executor(0).compiled_rows is False
+    query = workload.make_query(strategy=JoinStrategy.BLOOM)
+    graph = build_opgraph(query)
+    compiled = compile_graph(graph)
+    scans = graph.nodes_of_kind(OpKind.SCAN)
+    assert scans
+    assert sorted(compiled.chains) == sorted(scan.op_id for scan in scans)
+
+
+def test_bad_predicate_raises_expression_error_at_plan_time():
+    """A predicate over a nonexistent column fails when the graph is
+    compiled, as an ExpressionError while the simulation advances."""
+    workload = build_workload(8)
+    pier = build_pier(8)
+    load_join_tables(pier, workload)
+    query = workload.make_query(strategy=JoinStrategy.SYMMETRIC_HASH)
+    query.local_predicates["R"] = compare("no_such_column", ">", 1)
+    with pytest.raises(ExpressionError):
+        run_query(pier, query, initiator=0)

@@ -7,6 +7,7 @@ from repro.core.expressions import (
     Arithmetic,
     ColumnRef,
     Comparison,
+    Expression,
     FunctionCall,
     Literal,
     Not,
@@ -102,6 +103,21 @@ def test_columns_referenced_collects_from_subtrees():
     ])
     assert expression.columns_referenced() == {"R.num2", "R.num3", "S.num3"}
     assert tables_referenced(expression) == {"R", "S"}
+
+
+def test_expression_subclass_must_declare_columns_referenced():
+    """The planner classifies predicates by their columns, so a node type
+    that does not report them cannot be instantiated."""
+
+    class Opaque(Expression):
+        def evaluate(self, row):
+            return True
+
+        def compile(self, layout):
+            return lambda row: True
+
+    with pytest.raises(TypeError, match="columns_referenced"):
+        Opaque()
 
 
 def test_function_call_uses_registered_udf():

@@ -1,19 +1,13 @@
-"""Unit tests for QuerySpec validation, local plan construction and the catalog."""
+"""Unit tests for QuerySpec validation, aggregate finalisation and the catalog."""
 
 import pytest
 
 from repro.core.catalog import Catalog
 from repro.core.expressions import Comparison, col, lit
-from repro.core.plan import (
-    build_final_aggregation,
-    build_local_filter_pipeline,
-    describe_plan,
-    finalize_aggregation_rows,
-)
+from repro.core.executor import build_group_by, finalize_aggregation_rows
 from repro.core.query import (
     AggregateSpec,
     JoinClause,
-    JoinStrategy,
     QuerySpec,
     TableRef,
     next_query_id,
@@ -141,14 +135,6 @@ def test_is_join_and_is_aggregation_flags():
 # ---------------------------------------------------------------------- plan
 
 
-def test_build_local_filter_pipeline_filters_and_projects():
-    rows = [{"a": 1, "b": 10}, {"a": 2, "b": 20}]
-    result = build_local_filter_pipeline(
-        rows, Comparison(">", col("b"), lit(15)), columns=["a"]
-    )
-    assert result == [{"a": 2}]
-
-
 def test_finalize_aggregation_rows_applies_derived_and_having():
     relation = make_relation("T", ("g", "w"))
     query = QuerySpec(
@@ -163,21 +149,11 @@ def test_finalize_aggregation_rows_applies_derived_and_having():
     from repro.core.expressions import Arithmetic
 
     query.derived_columns = {"wcnt": Arithmetic("*", col("cnt"), col("total"))}
-    final = build_final_aggregation(query)
-    final.push_many([
-        {"T.g": "x", "T.w": 3.0},
-        {"T.g": "x", "T.w": 4.0},
-        {"T.g": "y", "T.w": 1.0},
-    ])
+    final = build_group_by(query)
+    for group, weight in (("x", 3.0), ("x", 4.0), ("y", 1.0)):
+        final.accumulate((group,), [1, weight])
     rows = finalize_aggregation_rows(query, final)
     assert rows == [{"T.g": "x", "cnt": 2, "total": 7.0, "wcnt": 14.0}]
-
-
-def test_describe_plan_mentions_tables_and_strategy():
-    query = simple_join_query(strategy=JoinStrategy.BLOOM)
-    text = "\n".join(describe_plan(query))
-    assert "bloom" in text
-    assert "R" in text and "S" in text
 
 
 # ------------------------------------------------------------------- catalog
