@@ -149,15 +149,13 @@ def build_loaded_network(num_nodes: int,
                          dht: str = "can",
                          infinite_bandwidth: bool = False,
                          workload_overrides: Optional[dict] = None,
-                         batching: bool = True,
                          coalesce_window_s: float = 0.0,
                          ) -> tuple:
     """Build a PIER deployment with the benchmark workload loaded.
 
-    Returns ``(pier, workload)``.  ``batching=False`` reproduces the seed's
-    one-message-per-item path (used for the event-reduction baseline);
-    ``coalesce_window_s`` sets the network-level coalescing window (``0.0``
-    merges same-instant arrivals only).
+    Returns ``(pier, workload)``.  ``coalesce_window_s`` sets the
+    network-level coalescing window (``0.0`` merges same-instant arrivals
+    only).
     """
     seed = bench_seed(seed)
     workload_config = dict(num_nodes=num_nodes, s_tuples_per_node=s_tuples_per_node,
@@ -170,7 +168,6 @@ def build_loaded_network(num_nodes: int,
         topology=topology,
         dht=dht,
         seed=seed,
-        batching=batching,
         coalesce_window_s=coalesce_window_s,
         bandwidth_bytes_per_s=None if infinite_bandwidth else (
             bandwidth_bytes_per_s if bandwidth_bytes_per_s is not None else

@@ -16,12 +16,15 @@ Run as a script this benchmark takes a ``--nodes`` axis (e.g.
 reachable, reports wall-clock per phase (build / load / query) for every
 configuration, and measures the batched message path against the seed's
 one-event-per-item baseline on a fixed workload (the ``event_reduction``
-block of the JSON output).
+block of the JSON output).  The seed path itself is retired; its event
+counts are frozen in :data:`SEED_PATH_EVENTS`.
 """
 
 import time
 
 from bench_common import (
+    bench_scale,
+    bench_seed,
     build_loaded_network,
     is_smoke,
     node_axis,
@@ -36,6 +39,20 @@ DEFAULT_NODE_COUNTS = (2, 8, 32, 64, 128)
 
 #: Fixed workload used for the batched-vs-seed event comparison.
 EVENT_BASELINE_NODES = 64
+
+#: The retired seed message path on the event-reduction workload — one
+#: message per item through scalar puts and gets, no network coalescing —
+#: as ``(nodes, seed) -> (simulator events, result rows)``.  That path no
+#: longer exists, so its counts are frozen: measured at the last commit that
+#: had it, in the two runs that check the reduction (``pytest benchmarks/``
+#: at 64 nodes, seed 5, and CI's ``--smoke --seed 0`` script run at 8
+#: nodes).  The event count moves by a few percent with the process-wide
+#: query id, which names the rehash namespaces (5224 to 5511 at 64 nodes
+#: depending on what ran first); the 3x bar does not depend on that.
+SEED_PATH_EVENTS = {
+    (64, 5): (5511, 149),
+    (8, 0): (342, 12),
+}
 
 #: Coalescing window used for large runs and the event-reduction headline.
 #: 10 ms is 10% of the paper's 100 ms hop latency — enough to merge the
@@ -96,39 +113,44 @@ def measure_event_reduction(num_nodes: int = 0) -> dict:
 
     The acceptance bar for the batching layer is a >= 3x drop in total
     simulator events on the same workload; this runs the symmetric-hash
-    benchmark query once per configuration and reports the counts and the
-    ratio.  ``events_batched`` (the headline) uses the batch APIs plus the
-    10 ms coalescing window the large runs use; ``events_batched_w0`` is the
-    conservative zero-window mode the test deployments run under.
+    benchmark query once per coalescing window and reports the counts and
+    the ratio against the frozen seed-path count.  ``events_batched`` (the
+    headline) uses the 10 ms coalescing window the large runs use;
+    ``events_batched_w0`` is the conservative zero-window mode the test
+    deployments run under.  A configuration without a frozen seed-path
+    count reports ``events_seed`` and ``reduction_factor`` as ``None``.
     """
     if not num_nodes:
         num_nodes = scaled(EVENT_BASELINE_NODES)
+    seed = bench_seed(5)
     counts = {}
     results = {}
-    configurations = (
-        ("seed", dict(batching=False)),
-        ("batched", dict(batching=True, coalesce_window_s=LARGE_RUN_WINDOW_S)),
-        ("batched_w0", dict(batching=True, coalesce_window_s=0.0)),
-    )
-    for label, kwargs in configurations:
+    for label, window in (("batched", LARGE_RUN_WINDOW_S), ("batched_w0", 0.0)):
         pier, workload = build_loaded_network(
-            num_nodes, s_tuples_per_node=2, seed=5, **kwargs
+            num_nodes, s_tuples_per_node=2, seed=seed, coalesce_window_s=window
         )
         outcome = run_benchmark_query(pier, workload, JoinStrategy.SYMMETRIC_HASH)
         counts[label] = pier.network.simulator.events_processed
         results[label] = outcome.result_count
-    assert results["seed"] == results["batched"] == results["batched_w0"], \
-        "batched modes must produce identical results to the seed path"
-    reduction = counts["seed"] / max(1, counts["batched"])
+    assert results["batched"] == results["batched_w0"], \
+        "the coalescing window must not change the result rows"
+    events_seed = reduction = None
+    frozen = SEED_PATH_EVENTS.get((num_nodes, seed))
+    if frozen is not None:
+        events_seed, seed_rows = frozen
+        assert results["batched"] == seed_rows, \
+            "the batched path must return as many rows as the seed path did"
+        reduction = round(events_seed / max(1, counts["batched"]), 2)
     return {
         "event_reduction": {
             "nodes": num_nodes,
+            "seed": seed,
             "coalesce_w_ms": LARGE_RUN_WINDOW_S * 1e3,
-            "events_seed": counts["seed"],
+            "events_seed": events_seed,
             "events_batched": counts["batched"],
             "events_batched_w0": counts["batched_w0"],
-            "result_rows": results["seed"],
-            "reduction_factor": round(reduction, 2),
+            "result_rows": results["batched"],
+            "reduction_factor": reduction,
         }
     }
 
@@ -166,8 +188,11 @@ def test_fig3_scaleup_full_mesh(benchmark):
     assert one_node_inbound[largest] > 2.0 * one_node_inbound[smallest]
 
     # The batching layer must cut total simulator events by >= 3x on the
-    # fixed comparison workload.
-    assert event_extra["event_reduction"]["reduction_factor"] >= 3.0
+    # fixed comparison workload, against the frozen seed-path count.  Only
+    # the default scale has one (PIER_BENCH_SCALE moves the node count).
+    reduction = event_extra["event_reduction"]["reduction_factor"]
+    if bench_scale() == 1.0:
+        assert reduction is not None and reduction >= 3.0
 
 
 def main(argv=None):

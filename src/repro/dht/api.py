@@ -18,6 +18,7 @@ minimal integration effort" (paper Section 3.2).
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -48,13 +49,13 @@ class BatchLookupState:
 class RoutingLayer(ABC):
     """Abstract overlay routing layer bound to one simulated node.
 
-    Besides the scalar Table 1 interface, the base class owns the generic
-    half of **batched lookups**: request bookkeeping, reply handling and the
-    forward loop that re-partitions a batch at every hop.  Concrete layers
-    supply only the geometry through three hooks — :meth:`_batch_entry`,
-    :meth:`_batch_entry_owned` and :meth:`_batch_next_hop` — and register
-    their ``PROTOCOL_ROUTE_BATCH`` / ``PROTOCOL_BATCH_LOOKUP_REPLY`` names
-    against the inherited handlers.
+    The base class owns the one lookup lane, **batched lookups**: request
+    bookkeeping, reply handling and the forward loop that re-partitions a
+    batch at every hop.  The Table 1 ``lookup`` is a batch lookup of one
+    key.  Concrete layers supply only the geometry through three hooks —
+    :meth:`_batch_entry`, :meth:`_batch_entry_owned` and
+    :meth:`_batch_next_hop` — and register their ``PROTOCOL_ROUTE_BATCH`` /
+    ``PROTOCOL_BATCH_LOOKUP_REPLY`` names against the inherited handlers.
     """
 
     #: Name used as a service key on the node and as a protocol prefix.
@@ -71,22 +72,23 @@ class RoutingLayer(ABC):
         self.node = node
         self._location_map_listeners: List[LocationMapCallback] = []
         self._pending_batch_lookups: Dict[int, BatchLookupState] = {}
+        self._lookup_ids = itertools.count(1)
         self.lookup_hops_observed: List[int] = []
         node.services[self.SERVICE_NAME] = self
 
     # ------------------------------------------------------------- interface
 
-    @abstractmethod
     def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = 40) -> None:
+               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
         """Resolve ``key`` to the responsible node's address, asynchronously.
 
         If the key maps to the local node the callback fires synchronously
         (paper footnote 3); otherwise the request is routed hop by hop and
-        the owner replies directly to this node.
+        the owner replies directly to this node.  A lookup is a batch
+        lookup of one key; a key the overlay cannot route is dropped.
         """
-
-    # ---------------------------------------------------------- batch lookup
+        self._lookup_batch([key], lambda owner, _keys: callback(owner),
+                           payload_bytes, None)
 
     def lookup_batch(self, keys: Iterable[int], callback: BatchLookupCallback,
                      payload_bytes: int = ROUTE_HOP_BYTES,
@@ -103,11 +105,19 @@ class RoutingLayer(ABC):
         once for all keys it owns — a ready-made (destination → keys)
         grouping for the caller.  Keys that become unroutable (dead
         neighbours, hop limit) are reported back as *unresolved* so the
-        origin's bookkeeping is freed; their items are simply lost, exactly
-        like a dropped scalar lookup (soft-state semantics).  Callers that
-        must not wait on lost keys (the Provider's failure-aware get lane)
-        pass ``on_unresolved`` to be told which keys were dropped.
+        origin's bookkeeping is freed; their items are simply lost
+        (soft-state semantics).  Callers that must not wait on lost keys
+        (the Provider's failure-aware get lane) pass ``on_unresolved`` to be
+        told which keys were dropped.
         """
+        self._lookup_batch(keys, callback, payload_bytes, on_unresolved)
+
+    def _lookup_batch(self, keys: Iterable[int], callback: BatchLookupCallback,
+                      payload_bytes: int,
+                      on_unresolved: Optional[Callable[[List[int]], None]],
+                      ) -> None:
+        # The one implementation behind both public entry points, so
+        # wrapping either one never counts a key twice.
         unique = list(dict.fromkeys(keys))
         if not unique:
             return

@@ -21,27 +21,18 @@ Two ways to stand up a CAN are provided:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
-from repro.dht.api import LookupCallback, RoutingLayer
+from repro.dht.api import RoutingLayer
 from repro.dht.naming import key_to_unit_coordinates
 from repro.net.network import Network
 from repro.net.node import Node
 
 #: Default CAN dimensionality used throughout the paper's evaluation.
 DEFAULT_DIMENSIONS = 2
-
-#: Wire size (bytes) of a routed lookup / control hop.
-ROUTE_HOP_BYTES = 40
-
-#: Safety valve: routed messages are dropped after this many overlay hops.
-#: Greedy geometric forwarding can, in rare corner configurations, bounce
-#: between zones that are equidistant from the target; the TTL bounds that.
-MAX_ROUTE_HOPS = 128
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,6 @@ class CanRouting(RoutingLayer):
 
     PROTOCOL_ROUTE = "can.route"
     PROTOCOL_ROUTE_BATCH = "can.route_batch"
-    PROTOCOL_LOOKUP_REPLY = "can.lookup_reply"
     PROTOCOL_BATCH_LOOKUP_REPLY = "can.batch_lookup_reply"
     PROTOCOL_JOIN_REPLY = "can.join_reply"
     PROTOCOL_NEIGHBOR_UPDATE = "can.neighbor_update"
@@ -174,15 +164,12 @@ class CanRouting(RoutingLayer):
         self.neighbor_zones: Dict[int, List[Zone]] = {}
         self._dead_neighbors: set[int] = set()
         self._rng = random.Random((seed << 20) ^ node.address)
-        self._pending_lookups: Dict[int, LookupCallback] = {}
-        self._lookup_ids = itertools.count(1)
         #: Hooks installed by the Provider for item migration on join/leave.
         self.extract_items: Optional[Callable[[Callable[[int], bool]], list]] = None
         self.install_items: Optional[Callable[[list], None]] = None
 
         node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_LOOKUP_REPLY, self._on_lookup_reply)
         node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
                               self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
@@ -223,28 +210,18 @@ class CanRouting(RoutingLayer):
 
     # ---------------------------------------------------------------- lookup
 
-    def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
-        point = self.key_to_point(key)
-        if self.owns_point(point):
-            callback(self.address)
-            return
-        request_id = next(self._lookup_ids)
-        self._pending_lookups[request_id] = callback
-        payload = {
-            "kind": "lookup",
-            "point": point,
-            "origin": self.address,
-            "request_id": request_id,
-        }
-        self._forward(payload, payload_bytes, hops=0)
+    # A lookup is a batch lookup of one key (RoutingLayer.lookup).  It is
+    # bound here as well so that per-class instrumentation (the benchmark's
+    # span tracer) can wrap ``CanRouting.lookup`` by name.
+    lookup = RoutingLayer.lookup
 
     def _forward(self, payload: dict, payload_bytes: int, hops: int,
                  exclude: Optional[int] = None) -> None:
-        """Greedy-forward a routed payload one hop closer to its target point."""
-        if hops >= MAX_ROUTE_HOPS:
-            # Routing loop safety valve; upper layers tolerate the loss
-            # (soft-state semantics) and renewal repairs it.
+        """Greedy-forward a routed join request one hop closer to its point."""
+        if hops >= self.MAX_ROUTE_HOPS:
+            # Routing loop safety valve: greedy geometric forwarding can, in
+            # rare corner configurations, bounce between zones equidistant
+            # from the target.
             return
         point = payload["point"]
         next_hop = self._best_next_hop(point, exclude=exclude)
@@ -303,28 +280,13 @@ class CanRouting(RoutingLayer):
         return fallback_address
 
     def _on_route(self, node: Node, message) -> None:
+        """Forward a routed join request, or split a zone for it here."""
         payload = message.payload
-        point = payload["point"]
-        if not self.owns_point(point):
+        if not self.owns_point(payload["point"]):
             self._forward(payload, message.payload_bytes, message.hops,
                           exclude=message.src)
             return
-        kind = payload["kind"]
-        if kind == "lookup":
-            node.send(
-                payload["origin"],
-                self.PROTOCOL_LOOKUP_REPLY,
-                payload={
-                    "request_id": payload["request_id"],
-                    "owner": self.address,
-                    "hops": message.hops,
-                },
-                payload_bytes=ROUTE_HOP_BYTES,
-            )
-        elif kind == "join":
-            self._handle_join_request(payload)
-        else:  # pragma: no cover - defensive
-            raise RoutingError(f"unknown routed payload kind {kind!r}")
+        self._handle_join_request(payload)
 
     def _on_route_bounce(self, node: Node, message) -> None:
         """A forwarded hop hit a dead neighbour: route around it immediately.
@@ -337,14 +299,6 @@ class CanRouting(RoutingLayer):
         self.mark_neighbor_dead(message.dst)
         self._forward(message.payload, message.payload_bytes, message.hops,
                       exclude=message.dst)
-
-    def _on_lookup_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        callback = self._pending_lookups.pop(payload["request_id"], None)
-        if callback is None:
-            return
-        self.lookup_hops_observed.append(payload.get("hops", 0))
-        callback(payload["owner"])
 
     # -------------------------------------------- batch lookup geometry hooks
     # The generic batch machinery (request bookkeeping, per-hop partitioning,
@@ -372,17 +326,13 @@ class CanRouting(RoutingLayer):
             self.create_network()
             return
         point = tuple(self._rng.random() for _ in range(self.dimensions))
-        payload = {
-            "kind": "join",
-            "point": point,
-            "origin": self.address,
-        }
+        payload = {"point": point, "origin": self.address}
         # The landmark routes the join request toward the chosen point.
         self.node.send(
             landmark,
             self.PROTOCOL_ROUTE,
             payload=payload,
-            payload_bytes=ROUTE_HOP_BYTES,
+            payload_bytes=self.ROUTE_HOP_BYTES,
         )
 
     def _handle_join_request(self, payload: dict) -> None:

@@ -17,19 +17,12 @@ directly from the sorted identifier list.
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Dict, List, Optional, Sequence
 
-from repro.dht.api import LookupCallback, RoutingLayer
+from repro.dht.api import RoutingLayer
 from repro.dht.naming import KEY_BITS, node_identifier
 from repro.net.network import Network
 from repro.net.node import Node
-
-#: Wire size (bytes) of a routed lookup / control hop.
-ROUTE_HOP_BYTES = 40
-
-#: Safety valve: routed messages are dropped after this many overlay hops.
-MAX_ROUTE_HOPS = 128
 
 
 def _in_interval(value: int, start: int, end: int, inclusive_end: bool = False) -> bool:
@@ -51,7 +44,6 @@ class ChordRouting(RoutingLayer):
 
     PROTOCOL_ROUTE = "chord.route"
     PROTOCOL_ROUTE_BATCH = "chord.route_batch"
-    PROTOCOL_LOOKUP_REPLY = "chord.lookup_reply"
     PROTOCOL_BATCH_LOOKUP_REPLY = "chord.batch_lookup_reply"
     PROTOCOL_JOIN_REPLY = "chord.join_reply"
     PROTOCOL_NOTIFY = "chord.notify"
@@ -67,14 +59,11 @@ class ChordRouting(RoutingLayer):
         self.fingers: List[Optional[tuple]] = [None] * key_bits
         self._ids: Dict[int, int] = {}  # address -> identifier cache
         self._dead: set[int] = set()
-        self._pending_lookups: Dict[int, LookupCallback] = {}
-        self._lookup_ids = itertools.count(1)
         self.extract_items = None
         self.install_items = None
 
         node.register_handler(self.PROTOCOL_ROUTE, self._on_route)
         node.register_handler(self.PROTOCOL_ROUTE_BATCH, self._on_route_batch)
-        node.register_handler(self.PROTOCOL_LOOKUP_REPLY, self._on_lookup_reply)
         node.register_handler(self.PROTOCOL_BATCH_LOOKUP_REPLY,
                               self._on_batch_lookup_reply)
         node.register_handler(self.PROTOCOL_JOIN_REPLY, self._on_join_reply)
@@ -126,20 +115,10 @@ class ChordRouting(RoutingLayer):
 
     # ---------------------------------------------------------------- lookup
 
-    def lookup(self, key: int, callback: LookupCallback,
-               payload_bytes: int = ROUTE_HOP_BYTES) -> None:
-        if self.owns(key):
-            callback(self.address)
-            return
-        request_id = next(self._lookup_ids)
-        self._pending_lookups[request_id] = callback
-        payload = {
-            "kind": "lookup",
-            "ring_key": self.ring_key(key),
-            "origin": self.address,
-            "request_id": request_id,
-        }
-        self._forward(payload, payload_bytes, hops=0)
+    # A lookup is a batch lookup of one key (RoutingLayer.lookup).  It is
+    # bound here as well so that per-class instrumentation (the benchmark's
+    # span tracer) can wrap ``ChordRouting.lookup`` by name.
+    lookup = RoutingLayer.lookup
 
     def _closest_preceding(self, ring_key: int) -> Optional[int]:
         """Finger (or successor) closest to, but preceding, ``ring_key``."""
@@ -165,7 +144,7 @@ class ChordRouting(RoutingLayer):
         return None
 
     def _forward(self, payload: dict, payload_bytes: int, hops: int) -> None:
-        if hops >= MAX_ROUTE_HOPS:
+        if hops >= self.MAX_ROUTE_HOPS:
             return
         next_hop = self._closest_preceding(payload["ring_key"])
         if next_hop is None or next_hop == self.address:
@@ -179,38 +158,17 @@ class ChordRouting(RoutingLayer):
         )
 
     def _on_route(self, node: Node, message) -> None:
+        """Forward a routed join request, or splice the joiner in here."""
         payload = message.payload
-        ring_key = payload["ring_key"]
-        if not self.owns(ring_key):
+        if not self.owns(payload["ring_key"]):
             self._forward(payload, message.payload_bytes, message.hops)
             return
-        kind = payload["kind"]
-        if kind == "lookup":
-            node.send(
-                payload["origin"],
-                self.PROTOCOL_LOOKUP_REPLY,
-                payload={
-                    "request_id": payload["request_id"],
-                    "owner": self.address,
-                    "hops": message.hops,
-                },
-                payload_bytes=ROUTE_HOP_BYTES,
-            )
-        elif kind == "join":
-            self._handle_join_request(payload)
+        self._handle_join_request(payload)
 
     def _on_route_bounce(self, node: Node, message) -> None:
         """A routed hop hit a dead node: mark it dead and re-route around it."""
         self.mark_neighbor_dead(message.dst)
         self._forward(message.payload, message.payload_bytes, message.hops)
-
-    def _on_lookup_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        callback = self._pending_lookups.pop(payload["request_id"], None)
-        if callback is None:
-            return
-        self.lookup_hops_observed.append(payload.get("hops", 0))
-        callback(payload["owner"])
 
     # -------------------------------------------- batch lookup geometry hooks
     # The generic batch machinery (request bookkeeping, per-hop partitioning,
@@ -243,16 +201,12 @@ class ChordRouting(RoutingLayer):
         if landmark is None:
             self.create_network()
             return
-        payload = {
-            "kind": "join",
-            "ring_key": self.identifier,
-            "origin": self.address,
-        }
+        payload = {"ring_key": self.identifier, "origin": self.address}
         self.node.send(
             landmark,
             self.PROTOCOL_ROUTE,
             payload=payload,
-            payload_bytes=ROUTE_HOP_BYTES,
+            payload_bytes=self.ROUTE_HOP_BYTES,
         )
 
     def _handle_join_request(self, payload: dict) -> None:
@@ -296,7 +250,7 @@ class ChordRouting(RoutingLayer):
                 self.predecessor,
                 self.PROTOCOL_NOTIFY,
                 payload={"successor": self.address},
-                payload_bytes=ROUTE_HOP_BYTES,
+                payload_bytes=self.ROUTE_HOP_BYTES,
             )
         self.notify_location_map_change()
 
@@ -331,7 +285,7 @@ class ChordRouting(RoutingLayer):
                 self.predecessor,
                 self.PROTOCOL_NOTIFY,
                 payload={"successor": self.successor},
-                payload_bytes=ROUTE_HOP_BYTES,
+                payload_bytes=self.ROUTE_HOP_BYTES,
             )
         self.successor = None
         self.predecessor = None

@@ -18,33 +18,38 @@ it *directly* (single IP hop), because "the bandwidth savings of not having a
 large message hop along the overlay network" outweigh the small chance of the
 mapping changing in between.
 
-Batch interface
----------------
-``put_batch`` / ``get_batch`` / ``multicast_batch`` are the high-throughput
-companions of the scalar calls: a batch resolves all of its keys through one
+One request lane
+----------------
+Every call is a batch.  ``put_batch`` / ``get_batch`` / ``multicast_batch``
+resolve all of their keys through one
 :meth:`repro.dht.api.RoutingLayer.lookup_batch` (overlay hops shared between
-keys routed the same way) and then sends **one message per (destination,
-namespace)** carrying every item that destination owns, instead of one per
-item.  Per-item semantics are preserved exactly — every stored item fires
-its own ``newData`` callback and every ``get_batch`` key receives its own
-reply callback.  Constructing the Provider with ``batching=False`` makes the
-batch calls fall back to per-item scalar calls (the seed message pattern),
-which is what the benchmarks use as their baseline.
+keys routed the same way) and then send **one message per destination**
+carrying every item (or request) that destination owns.  The scalar
+``put``/``put_direct``/``renew`` are a put batch of one and ``get`` is a get
+batch of one, so they share the batch wire protocols, pending table and
+failure handling.  Batch messages are charged by their contents (per key
+per hop, per item, per requested id), so a batch of one costs what the item
+alone does.  Per-item semantics are exact: every stored item fires its own
+``newData`` callback and every requested resourceID receives its own reply
+callback.
 
 Failure semantics
 -----------------
 The DHT gives soft-state guarantees only, but a *request* must never hang
-forever: every ``get``/``get_batch`` is tracked as a pending entry until its
-reply (or local resolution) arrives.  Three mechanisms bound that wait:
+forever: every ``get``/``get_batch`` is tracked as one pending entry from
+the moment it is issued until each of its resourceIDs is answered, failed
+or cancelled.  Four mechanisms bound that wait:
 
+* **unresolved lookups** — keys whose overlay route dead-ends are reported
+  back by the routing layer, and their ids complete with an *empty* item
+  list at once, so the caller degrades instead of blocking;
 * **transport bounces** — a request sent to a dead owner is reported back by
   the network one round trip later; the Provider retries it once through a
   fresh overlay lookup (the routing layer routes around detected failures)
-  and, when retries are exhausted, completes the request with an *empty*
-  item list so the caller degrades instead of blocking;
+  and, when retries are exhausted, completes its ids empty;
 * **per-request timeouts** — with ``request_timeout_s`` set (churn
-  deployments), a timer armed at issue time catches the cases bounces
-  cannot see (lookups that dead-end in a partitioned overlay);
+  deployments), a timer armed at issue time catches what neither of the
+  above can see (a request or reply lost in transit);
 * **query-scoped cancellation** — callers may tag requests with a ``scope``
   (the executor uses the query id) and sweep everything still pending with
   :meth:`Provider.cancel_pending` at query teardown.
@@ -53,9 +58,10 @@ Puts are not retried: renewal repairs lost soft state.  The exception is a
 :meth:`Provider.put_chunk` wave (query fragments, never renewed) whose keys
 the overlay cannot route; those fragments move to fallback keys.
 
-Per-scope delivery accounting (issued / completed / failed / cancelled and
-the put fragments bounced off dead nodes) backs the client's query
-completeness report.
+Per-scope delivery accounting (issued / completed / failed / pending, with
+``issued == completed + failed + pending`` at every instant, and the put
+fragments bounced off dead nodes) backs the client's query completeness
+report.
 """
 
 from __future__ import annotations
@@ -77,9 +83,6 @@ DEFAULT_LIFETIME_S = 300.0
 DEFAULT_ITEM_BYTES = 100
 #: How often each node sweeps expired soft state out of its storage manager.
 DEFAULT_SWEEP_PERIOD_S = 5.0
-#: How long a cancelled scope is remembered, so requests whose overlay
-#: lookups were still resolving at cancellation time are suppressed too.
-CANCELLED_SCOPE_TTL_S = 600.0
 #: Fallback placements a :meth:`Provider.put_chunk` fragment tries when the
 #: overlay cannot route its key (a confirmed-dead node's zone is a hole no
 #: live node owns).  Rehash fragments live only as long as their query, so
@@ -116,21 +119,22 @@ class DHTItem:
 
 @dataclass
 class _PendingGet:
-    """Origin-side bookkeeping for one in-flight ``get``/``get_batch`` request.
+    """Origin-side bookkeeping for one issued ``get``/``get_batch`` request.
 
-    ``resource_ids`` holds one id for the scalar lane; the batch lane keeps
-    every id of the (destination-grouped) sub-request so a bounce or timeout
-    can retry — or fail — all of them together.  ``attempts_left`` bounds
-    retry-after-reroute; ``timer`` is the optional per-request timeout.
+    ``resource_ids`` holds the ids still outstanding, in issue order (a dict
+    used as an ordered set, so retries and failures replay deterministically):
+    an id leaves it when its owner answers, when it fails, or when a bounce
+    moves it into a retry request.  The entry is released once it is empty.
+    ``attempts_left`` bounds retry-after-reroute; ``timer`` is the optional
+    per-request timeout, armed at issue time.
     """
 
-    callback: Callable
+    callback: BatchGetCallback
     namespace: str
-    resource_ids: Tuple[Any, ...]
+    resource_ids: Dict[Any, None]
     scope: Any = None
     attempts_left: int = 0
     request_bytes: int = 60
-    batch: bool = False
     timer: Any = None
 
 
@@ -144,24 +148,19 @@ class Provider:
     """Per-node Provider instance."""
 
     SERVICE_NAME = "dht.provider"
-    PROTOCOL_PUT = "prov.put"
     PROTOCOL_PUT_BATCH = "prov.put_batch"
     PROTOCOL_PUT_CHUNK = "prov.put_chunk"
-    PROTOCOL_GET = "prov.get"
-    PROTOCOL_GET_REPLY = "prov.get_reply"
     PROTOCOL_GET_BATCH = "prov.get_batch"
     PROTOCOL_GET_BATCH_REPLY = "prov.get_batch_reply"
 
     def __init__(self, node: Node, routing: RoutingLayer,
                  sweep_period_s: float = DEFAULT_SWEEP_PERIOD_S,
                  instance_seed: int = 0,
-                 batching: bool = True,
                  request_timeout_s: Optional[float] = None,
                  request_retries: int = 1):
         self.node = node
         self.routing = routing
         self.storage = StorageManager()
-        self.batching = batching
         #: Per-request timeout for ``get``/``get_batch`` (``None`` disables
         #: the timer lane; transport bounces still bound dead-owner waits).
         self.request_timeout_s = request_timeout_s
@@ -170,30 +169,21 @@ class Provider:
         self.multicast_service = MulticastService(node, routing)
         self._new_data_callbacks: Dict[str, List[NewDataCallback]] = {}
         self._pending_gets: Dict[int, _PendingGet] = {}
-        self._pending_batch_gets: Dict[int, _PendingGet] = {}
         self._get_ids = itertools.count(1)
         self._instance_ids = itertools.count(instance_seed * 1_000_003 + 1)
-        #: Per-scope (query) get accounting: issued/completed/failed/cancelled.
+        #: Per-scope (query) get accounting: issued/completed/failed.
         self._scope_counters: Dict[Any, Dict[str, int]] = {}
-        #: scope -> cancellation time; suppresses requests whose lookups were
-        #: mid-flight when the scope was cancelled (TTL-pruned).
-        self._cancelled_scopes: Dict[Any, float] = {}
         #: Put fragments bounced off dead destinations, per namespace.
         self.put_bounces_by_namespace: Dict[str, int] = {}
         node.services[self.SERVICE_NAME] = self
 
-        node.register_handler(self.PROTOCOL_PUT, self._on_put)
         node.register_handler(self.PROTOCOL_PUT_BATCH, self._on_put_batch)
         node.register_handler(self.PROTOCOL_PUT_CHUNK, self._on_put_chunk)
-        node.register_handler(self.PROTOCOL_GET, self._on_get)
-        node.register_handler(self.PROTOCOL_GET_REPLY, self._on_get_reply)
         node.register_handler(self.PROTOCOL_GET_BATCH, self._on_get_batch)
         node.register_handler(self.PROTOCOL_GET_BATCH_REPLY,
                               self._on_get_batch_reply)
-        node.register_bounce_handler(self.PROTOCOL_GET, self._on_get_bounce)
         node.register_bounce_handler(self.PROTOCOL_GET_BATCH,
                                      self._on_get_batch_bounce)
-        node.register_bounce_handler(self.PROTOCOL_PUT, self._on_put_bounce)
         node.register_bounce_handler(self.PROTOCOL_PUT_BATCH,
                                      self._on_put_batch_bounce)
         node.register_bounce_handler(self.PROTOCOL_PUT_CHUNK,
@@ -235,22 +225,14 @@ class Provider:
             item_bytes: int = DEFAULT_ITEM_BYTES) -> int:
         """Publish an item into the DHT (paper Table 3 ``put``).
 
-        Returns the instanceID used (freshly generated when ``None`` is
-        passed, matching the paper's "randomly assigned by the user
-        application").
+        A put batch of one.  Returns the instanceID used (freshly generated
+        when ``None`` is passed, matching the paper's "randomly assigned by
+        the user application").
         """
         request, instance_id = self._build_put_request(
             namespace, resource_id, instance_id, value, lifetime, item_bytes
         )
-
-        def _deliver(owner: int) -> None:
-            if owner == self.node.address:
-                self._store_request(request)
-            else:
-                self.node.send(owner, self.PROTOCOL_PUT, payload=request,
-                               payload_bytes=item_bytes)
-
-        self.routing.lookup(request["key"], _deliver)
+        self._route_put_requests(namespace, [request])
         return instance_id
 
     def _build_put_request(self, namespace: str, resource_id: Any,
@@ -286,18 +268,8 @@ class Provider:
         request, instance_id = self._build_put_request(
             namespace, resource_id, instance_id, value, lifetime, item_bytes
         )
-
-        def _deliver(_owner: int) -> None:
-            if target == self.node.address:
-                self._store_request(request)
-            else:
-                self.node.send(target, self.PROTOCOL_PUT, payload=request,
-                               payload_bytes=item_bytes)
-
-        if charge_lookup:
-            self.routing.lookup(request["key"], _deliver)
-        else:
-            _deliver(target)
+        self._route_put_requests(namespace, [request], target=target,
+                                 charge_lookup=charge_lookup)
         return instance_id
 
     def renew(self, namespace: str, resource_id: Any, instance_id: int,
@@ -310,9 +282,6 @@ class Provider:
         """
         self.put(namespace, resource_id, instance_id, value, lifetime, item_bytes)
         return True
-
-    def _on_put(self, node: Node, message) -> None:
-        self._store_request(message.payload)
 
     def _store_request(self, request: dict) -> None:
         item = StoredItem(
@@ -367,45 +336,13 @@ class Provider:
         Returns the instanceIDs used, aligned with ``entries``.  Items whose
         keys share an owner travel in a single ``prov.put_batch`` message
         whose payload is the sum of the item sizes; every stored item still
-        fires its own ``newData`` callback on arrival.  With
-        ``batching=False`` this degrades to one scalar :meth:`put` per entry.
+        fires its own ``newData`` callback on arrival.
         """
         requests, instance_ids = self._normalize_put_entries(
             namespace, entries, lifetime, item_bytes
         )
-        if not requests:
-            return instance_ids
-        if not self.batching:
-            for request in requests:
-                self._route_put_request(request)
-            return instance_ids
-        requests_by_key: Dict[int, List[dict]] = {}
-        for request in requests:
-            requests_by_key.setdefault(request["key"], []).append(request)
-
-        def _deliver(owner: int, keys: List[int]) -> None:
-            batch = [request for key in keys for request in requests_by_key[key]]
-            self._send_put_requests(owner, batch)
-
-        self.routing.lookup_batch(
-            list(requests_by_key), _deliver,
-            on_unresolved=lambda keys: self._count_unroutable_puts(
-                namespace, requests_by_key, keys),
-        )
+        self._route_put_requests(namespace, requests)
         return instance_ids
-
-    def _count_unroutable_puts(self, namespace: str,
-                               requests_by_key: Dict[int, List[dict]],
-                               keys: List[int]) -> None:
-        """Batched put keys the overlay could not route: fragments are lost.
-
-        Soft-state semantics (renewal repairs them), but the loss must show
-        up in the namespace's counter or a query's completeness report would
-        read ``complete`` while rehash fragments silently vanished.
-        """
-        lost = sum(len(requests_by_key[key]) for key in keys)
-        if lost:
-            self._record_put_bounce(namespace, lost)
 
     def put_direct_batch(self, target: int, namespace: str,
                          entries: Sequence[PutEntry],
@@ -422,55 +359,56 @@ class Provider:
         requests, instance_ids = self._normalize_put_entries(
             namespace, entries, lifetime, item_bytes
         )
+        self._route_put_requests(namespace, requests, target=target,
+                                 charge_lookup=charge_lookup)
+        return instance_ids
+
+    def _route_put_requests(self, namespace: str, requests: List[dict],
+                            target: Optional[int] = None,
+                            charge_lookup: bool = True) -> None:
+        """The put lane behind every put call: resolve, group, ship.
+
+        Requests go to their keys' owners, or all to ``target`` when one is
+        given (resolved first only with ``charge_lookup``).  Keys the overlay
+        cannot route count as bounced fragments of ``namespace``.
+        """
         if not requests:
-            return instance_ids
-        if not self.batching:
-            for request in requests:
-                self._route_put_request(request, target=target,
-                                        charge_lookup=charge_lookup)
-            return instance_ids
+            return
+        if target is not None and not charge_lookup:
+            self._send_put_requests(target, requests)
+            return
         requests_by_key: Dict[int, List[dict]] = {}
         for request in requests:
             requests_by_key.setdefault(request["key"], []).append(request)
 
-        if not charge_lookup:
-            self._send_put_requests(target, requests)
-            return instance_ids
-
-        def _deliver(_owner: int, keys: List[int]) -> None:
+        def _deliver(owner: int, keys: List[int]) -> None:
             batch = [request for key in keys for request in requests_by_key[key]]
-            self._send_put_requests(target, batch)
+            self._send_put_requests(owner if target is None else target, batch)
 
         self.routing.lookup_batch(
             list(requests_by_key), _deliver,
             on_unresolved=lambda keys: self._count_unroutable_puts(
                 namespace, requests_by_key, keys),
         )
-        return instance_ids
 
-    def _route_put_request(self, request: dict, target: Optional[int] = None,
-                           charge_lookup: bool = True) -> None:
-        """Scalar (seed-pattern) dispatch of one prepared put request."""
+    def _count_unroutable_puts(self, namespace: str,
+                               requests_by_key: Dict[int, List[dict]],
+                               keys: List[int]) -> None:
+        """Put keys the overlay could not route: their fragments are lost.
 
-        def _deliver(owner: int) -> None:
-            destination = owner if target is None else target
-            self._send_put_requests(destination, [request], batch_protocol=False)
+        Soft-state semantics (renewal repairs them), but the loss must show
+        up in the namespace's counter or a query's completeness report would
+        read ``complete`` while rehash fragments silently vanished.
+        """
+        lost = sum(len(requests_by_key[key]) for key in keys)
+        if lost:
+            self._record_put_bounce(namespace, lost)
 
-        if charge_lookup:
-            self.routing.lookup(request["key"], _deliver)
-        else:
-            _deliver(target if target is not None else self.node.address)
-
-    def _send_put_requests(self, destination: int, requests: List[dict],
-                           batch_protocol: bool = True) -> None:
+    def _send_put_requests(self, destination: int, requests: List[dict]) -> None:
         """Store locally or ship a group of put requests to one destination."""
         if destination == self.node.address:
             for request in requests:
                 self._store_request(request)
-            return
-        if not batch_protocol and len(requests) == 1:
-            self.node.send(destination, self.PROTOCOL_PUT, payload=requests[0],
-                           payload_bytes=requests[0]["size_bytes"])
             return
         total_bytes = sum(request["size_bytes"] for request in requests)
         self.node.send(destination, self.PROTOCOL_PUT_BATCH,
@@ -486,19 +424,15 @@ class Provider:
             self.put_bounces_by_namespace.get(namespace, 0) + count
         )
 
-    def _on_put_bounce(self, node: Node, message) -> None:
-        """A put's destination was dead: the fragment is lost (soft state).
+    def _on_put_batch_bounce(self, node: Node, message) -> None:
+        """A put's destination was dead: its fragments are lost (soft state).
 
         Publishers do not retry — renewal is the repair mechanism — but the
         loss is counted per namespace so query completeness reports can
         attribute lost temporary fragments to their query.
         """
-        self._record_put_bounce(message.payload["namespace"], 1)
-
-    def _on_put_batch_bounce(self, node: Node, message) -> None:
-        requests = message.payload["requests"]
         by_namespace: Dict[str, int] = {}
-        for request in requests:
+        for request in message.payload["requests"]:
             by_namespace[request["namespace"]] = (
                 by_namespace.get(request["namespace"], 0) + 1
             )
@@ -523,28 +457,13 @@ class Provider:
         first-occurrence order, matching :meth:`put_batch` delivery order.
         ``target`` confines all items to a designated computation node (keys
         are still resolved through the overlay so latency accounting matches
-        the owner-routed path).  With ``batching=False`` this degrades to
-        one scalar put per item.
+        the owner-routed path).
         """
         count = len(resource_ids)
         instance_ids = [self.next_instance_id() for _ in range(count)]
         if not count:
             return instance_ids
         keys = [hash_key(namespace, rid) for rid in resource_ids]
-        if not self.batching:
-            for i in range(count):
-                request = {
-                    "namespace": namespace,
-                    "resource_id": resource_ids[i],
-                    "instance_id": instance_ids[i],
-                    "value": values[i],
-                    "lifetime": lifetime,
-                    "publisher": self.node.address,
-                    "size_bytes": item_bytes,
-                    "key": keys[i],
-                }
-                self._route_put_request(request, target=target)
-            return instance_ids
         self._route_chunk(namespace, resource_ids, values, instance_ids, keys,
                           range(count), lifetime, item_bytes, target, attempt=0)
         return instance_ids
@@ -650,248 +569,73 @@ class Provider:
     # ------------------------------------------------------------------- get
 
     def get(self, namespace: str, resource_id: Any, callback: GetCallback,
-            request_bytes: int = 60, scope: Any = None,
-            _attempts_left: Optional[int] = None) -> None:
+            request_bytes: int = 60, scope: Any = None) -> None:
         """Fetch all items with the given namespace/resourceID (``get``).
 
-        ``scope`` tags the request for :meth:`cancel_pending` and the
-        per-scope delivery accounting (queries pass their query id).  The
-        request is tracked from issue time: a bounce off a dead owner (or,
-        with ``request_timeout_s`` set, a timeout) retries it through a
-        fresh lookup up to ``request_retries`` times and then completes it
-        with an empty item list — callers degrade, they never hang.
+        A get batch of one (see :meth:`get_batch` for the failure handling
+        and the ``scope`` accounting); ``callback(items)`` fires once.
         """
-        key = hash_key(namespace, resource_id)
-        request_id = next(self._get_ids)
-        entry = _PendingGet(
-            callback=callback, namespace=namespace, resource_ids=(resource_id,),
-            scope=scope, request_bytes=request_bytes,
-            attempts_left=(self.request_retries if _attempts_left is None
-                           else _attempts_left),
-        )
-        self._pending_gets[request_id] = entry
-        if _attempts_left is None:
-            self._count(scope, "issued")
-        self._arm_timeout(entry, request_id)
-
-        def _ask(owner: int) -> None:
-            if self._pending_gets.get(request_id) is not entry:
-                return  # cancelled / failed while the lookup was in flight
-            if owner == self.node.address:
-                self._complete_get(request_id,
-                                   self.get_local(namespace, resource_id))
-                return
-            self.node.send(
-                owner,
-                self.PROTOCOL_GET,
-                payload={
-                    "namespace": namespace,
-                    "resource_id": resource_id,
-                    "origin": self.node.address,
-                    "request_id": request_id,
-                },
-                payload_bytes=request_bytes,
-            )
-
-        self.routing.lookup(key, _ask)
-
-    def get_local(self, namespace: str, resource_id: Any) -> List[DHTItem]:
-        """Items for ``(namespace, resourceID)`` stored on this node."""
-        return [
-            self._view(item)
-            for item in self.storage.retrieve(namespace, resource_id, self.now)
-        ]
-
-    def _on_get(self, node: Node, message) -> None:
-        payload = message.payload
-        items = self.get_local(payload["namespace"], payload["resource_id"])
-        reply_bytes = sum(item.size_bytes for item in items) or 40
-        node.send(
-            payload["origin"],
-            self.PROTOCOL_GET_REPLY,
-            payload={"request_id": payload["request_id"], "items": items},
-            payload_bytes=reply_bytes,
-        )
-
-    def _on_get_reply(self, node: Node, message) -> None:
-        payload = message.payload
-        self._complete_get(payload["request_id"], payload["items"])
-
-    # ------------------------------------------------- pending-get lifecycle
-
-    def _count(self, scope: Any, event: str, amount: int = 1) -> None:
-        """Bump one per-scope accounting counter (no-op for unscoped calls)."""
-        if scope is None:
-            return
-        counters = self._scope_counters.get(scope)
-        if counters is None:
-            counters = self._scope_counters[scope] = _new_scope_counters()
-        counters[event] += amount
-
-    def _arm_timeout(self, entry: _PendingGet, request_id: int) -> None:
-        if self.request_timeout_s is None:
-            return
-        entry.timer = self.node.schedule(
-            self.request_timeout_s, self._on_get_timeout, request_id, entry.batch
-        )
-
-    @staticmethod
-    def _disarm(entry: _PendingGet) -> None:
-        if entry.timer is not None:
-            entry.timer.cancel()
-            entry.timer = None
-
-    def _complete_get(self, request_id: int, items: List[DHTItem]) -> None:
-        entry = self._pending_gets.pop(request_id, None)
-        if entry is None:
-            return  # already failed/cancelled; drop the late reply
-        self._disarm(entry)
-        self._count(entry.scope, "completed")
-        entry.callback(items)
-
-    def _on_get_timeout(self, request_id: int, batch: bool) -> None:
-        pending = self._pending_batch_gets if batch else self._pending_gets
-        if request_id in pending:
-            self._retry_or_fail(request_id, batch=batch)
-
-    def _on_get_bounce(self, node: Node, message) -> None:
-        self._retry_or_fail(message.payload["request_id"], batch=False)
-
-    def _on_get_batch_bounce(self, node: Node, message) -> None:
-        self._retry_or_fail(message.payload["request_id"], batch=True)
-
-    def _retry_or_fail(self, request_id: int, batch: bool) -> None:
-        """A request's destination is unreachable: reroute or complete empty."""
-        pending = self._pending_batch_gets if batch else self._pending_gets
-        entry = pending.pop(request_id, None)
-        if entry is None:
-            return
-        self._disarm(entry)
-        if entry.attempts_left > 0:
-            # Retry through a fresh overlay resolution: the routing layer has
-            # marked the bounced hop dead, so the new lookup reroutes.
-            if batch:
-                self.get_batch(entry.namespace, list(entry.resource_ids),
-                               entry.callback, request_bytes=entry.request_bytes,
-                               scope=entry.scope,
-                               _attempts_left=entry.attempts_left - 1)
-            else:
-                self.get(entry.namespace, entry.resource_ids[0], entry.callback,
-                         request_bytes=entry.request_bytes, scope=entry.scope,
-                         _attempts_left=entry.attempts_left - 1)
-            return
-        self._fail_entry(entry)
-
-    def _fail_entry(self, entry: _PendingGet) -> None:
-        """Complete an unreachable request with empty results (degrade)."""
-        self._count(entry.scope, "failed", len(entry.resource_ids))
-        if entry.batch:
-            for resource_id in entry.resource_ids:
-                entry.callback(resource_id, [])
-        else:
-            entry.callback([])
-
-    def cancel_pending(self, scope: Any) -> int:
-        """Drop every pending get tagged with ``scope`` without calling back.
-
-        Swept at query teardown so cancelled queries do not accumulate
-        callbacks (or fire them into dead dataflows).  Also releases the
-        scope's accounting entry; returns the number of requests dropped.
-        """
-        dropped = 0
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            stale = [request_id for request_id, entry in pending.items()
-                     if entry.scope == scope]
-            for request_id in stale:
-                entry = pending.pop(request_id)
-                self._disarm(entry)
-                dropped += len(entry.resource_ids)
-        self._scope_counters.pop(scope, None)
-        now = self.now
-        self._cancelled_scopes[scope] = now
-        if len(self._cancelled_scopes) > 64:
-            self._cancelled_scopes = {
-                cancelled: when
-                for cancelled, when in self._cancelled_scopes.items()
-                if now - when <= CANCELLED_SCOPE_TTL_S
-            }
-        return dropped
-
-    def _scope_cancelled(self, scope: Any) -> bool:
-        return scope is not None and scope in self._cancelled_scopes
-
-    def pending_get_count(self, scope: Any = None) -> int:
-        """Number of in-flight get requests (optionally for one scope)."""
-        total = 0
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            for entry in pending.values():
-                if scope is None or entry.scope == scope:
-                    total += len(entry.resource_ids)
-        return total
-
-    def scope_report(self, scope: Any) -> Dict[str, int]:
-        """Accounting snapshot for one scope, including the pending count."""
-        report = dict(self._scope_counters.get(scope) or _new_scope_counters())
-        report["pending"] = self.pending_get_count(scope)
-        return report
-
-    # ------------------------------------------------------------- get_batch
+        self._issue_get(namespace, (resource_id,),
+                        lambda _rid, items: callback(items), request_bytes,
+                        scope, attempts_left=None)
 
     def get_batch(self, namespace: str, resource_ids: Sequence[Any],
                   callback: BatchGetCallback, request_bytes: int = 60,
-                  scope: Any = None,
-                  _attempts_left: Optional[int] = None) -> None:
+                  scope: Any = None) -> None:
         """Fetch the items of many resourceIDs with one request per owner.
 
         ``callback(resource_id, items)`` fires once per distinct resourceID.
         IDs owned by the same node share a single ``prov.get_batch`` request
-        and a single reply; locally-owned IDs resolve synchronously.  With
-        ``batching=False`` this degrades to one scalar :meth:`get` per ID.
+        and a single reply; locally-owned IDs resolve synchronously.
 
-        Like :meth:`get`, every sub-request is tracked until its reply:
-        bounces and timeouts retry it (``request_retries`` times) and then
-        complete each of its ids with an empty item list, and ids whose
-        routed lookups dead-end are failed as soon as the routing layer
-        reports them unresolved.  ``scope`` tags the requests for
-        :meth:`cancel_pending` and the delivery accounting.
+        The request is tracked from issue time until every id is answered,
+        failed or cancelled.  Ids whose routed lookups dead-end complete
+        empty as soon as the routing layer reports them unresolved; a
+        request bounced off a dead owner (or, with ``request_timeout_s``
+        set, timed out) is retried through a fresh lookup up to
+        ``request_retries`` times and then completes its ids empty —
+        callers degrade, they never hang.  ``scope`` tags the request for
+        :meth:`cancel_pending` and the per-scope delivery accounting
+        (queries pass their query id).
         """
-        unique = list(dict.fromkeys(resource_ids))
-        if not unique:
+        self._issue_get(namespace, resource_ids, callback, request_bytes,
+                        scope, attempts_left=None)
+
+    def _issue_get(self, namespace: str, resource_ids: Iterable[Any],
+                   callback: BatchGetCallback, request_bytes: int, scope: Any,
+                   attempts_left: Optional[int]) -> None:
+        """The get lane behind :meth:`get`, :meth:`get_batch` and retries.
+
+        ``attempts_left`` is ``None`` for a fresh request (counted as issued,
+        with the full retry budget) and the remaining budget for a retry.
+        """
+        outstanding = dict.fromkeys(resource_ids)
+        if not outstanding:
             return
-        if not self.batching:
-            for resource_id in unique:
-                self.get(namespace, resource_id,
-                         lambda items, rid=resource_id: callback(rid, items),
-                         request_bytes=request_bytes, scope=scope,
-                         _attempts_left=_attempts_left)
-            return
-        attempts = (self.request_retries if _attempts_left is None
-                    else _attempts_left)
-        if _attempts_left is None:
-            self._count(scope, "issued", len(unique))
+        if attempts_left is None:
+            attempts_left = self.request_retries
+            self._count(scope, "issued", len(outstanding))
+        request_id = next(self._get_ids)
+        entry = _PendingGet(
+            callback=callback, namespace=namespace, resource_ids=outstanding,
+            scope=scope, attempts_left=attempts_left,
+            request_bytes=request_bytes,
+        )
+        self._pending_gets[request_id] = entry
         rids_by_key: Dict[int, List[Any]] = {}
-        for resource_id in unique:
+        for resource_id in outstanding:
             key = hash_key(namespace, resource_id)
             rids_by_key.setdefault(key, []).append(resource_id)
 
         def _ask(owner: int, keys: List[int]) -> None:
-            if self._scope_cancelled(scope):
-                return  # cancelled while the batch lookup was resolving
+            if self._pending_gets.get(request_id) is not entry:
+                return  # timed out or cancelled while the lookup was in flight
             rids = [rid for key in keys for rid in rids_by_key[key]]
             if owner == self.node.address:
-                for rid in rids:
-                    self._count(scope, "completed")
-                    callback(rid, self.get_local(namespace, rid))
+                self._answer(request_id, entry, {
+                    rid: self.get_local(namespace, rid) for rid in rids
+                })
                 return
-            request_id = next(self._get_ids)
-            entry = _PendingGet(
-                callback=callback, namespace=namespace,
-                resource_ids=tuple(rids), scope=scope,
-                attempts_left=attempts, request_bytes=request_bytes,
-                batch=True,
-            )
-            self._pending_batch_gets[request_id] = entry
-            self._arm_timeout(entry, request_id)
             self.node.send(
                 owner,
                 self.PROTOCOL_GET_BATCH,
@@ -905,20 +649,26 @@ class Provider:
             )
 
         def _unresolved(keys: List[int]) -> None:
-            if self._scope_cancelled(scope):
+            if self._pending_gets.get(request_id) is not entry:
                 return
             # The overlay could not route these keys at all (dead-end): fail
             # their ids immediately instead of leaving the caller waiting.
-            stale = _PendingGet(
-                callback=callback, namespace=namespace,
-                resource_ids=tuple(rid for key in keys
-                                   for rid in rids_by_key[key]),
-                scope=scope, batch=True,
-            )
-            self._fail_entry(stale)
+            self._fail(entry, self._take(
+                request_id, entry,
+                [rid for key in keys for rid in rids_by_key[key]]))
 
         self.routing.lookup_batch(list(rids_by_key), _ask,
                                   on_unresolved=_unresolved)
+        if self._pending_gets.get(request_id) is entry:
+            # Not answered by locally-owned keys alone: bound the wait.
+            self._arm_timeout(entry, request_id)
+
+    def get_local(self, namespace: str, resource_id: Any) -> List[DHTItem]:
+        """Items for ``(namespace, resourceID)`` stored on this node."""
+        return [
+            self._view(item)
+            for item in self.storage.retrieve(namespace, resource_id, self.now)
+        ]
 
     def _on_get_batch(self, node: Node, message) -> None:
         payload = message.payload
@@ -939,13 +689,127 @@ class Provider:
 
     def _on_get_batch_reply(self, node: Node, message) -> None:
         payload = message.payload
-        entry = self._pending_batch_gets.pop(payload["request_id"], None)
+        request_id = payload["request_id"]
+        entry = self._pending_gets.get(request_id)
         if entry is None:
+            return  # already failed/cancelled; drop the late reply
+        self._answer(request_id, entry, {
+            result["resource_id"]: result["items"]
+            for result in payload["results"]
+        })
+
+    # ------------------------------------------------- pending-get lifecycle
+
+    def _count(self, scope: Any, event: str, amount: int = 1) -> None:
+        """Bump one per-scope accounting counter (no-op for unscoped calls)."""
+        if scope is None:
             return
-        self._disarm(entry)
-        self._count(entry.scope, "completed", len(payload["results"]))
-        for result in payload["results"]:
-            entry.callback(result["resource_id"], result["items"])
+        counters = self._scope_counters.get(scope)
+        if counters is None:
+            counters = self._scope_counters[scope] = _new_scope_counters()
+        counters[event] += amount
+
+    def _arm_timeout(self, entry: _PendingGet, request_id: int) -> None:
+        if self.request_timeout_s is None:
+            return
+        entry.timer = self.node.schedule(
+            self.request_timeout_s, self._on_get_timeout, request_id
+        )
+
+    @staticmethod
+    def _disarm(entry: _PendingGet) -> None:
+        if entry.timer is not None:
+            entry.timer.cancel()
+            entry.timer = None
+
+    def _take(self, request_id: int, entry: _PendingGet,
+              resource_ids: Iterable[Any]) -> List[Any]:
+        """Remove ``resource_ids`` from the entry's outstanding ids.
+
+        Returns the ones that were still outstanding; the entry is released
+        (and its timer cancelled) once nothing is left outstanding.
+        """
+        outstanding = entry.resource_ids
+        taken = [rid for rid in resource_ids if rid in outstanding]
+        for rid in taken:
+            del outstanding[rid]
+        if not outstanding:
+            del self._pending_gets[request_id]
+            self._disarm(entry)
+        return taken
+
+    def _answer(self, request_id: int, entry: _PendingGet,
+                results: Dict[Any, List[DHTItem]]) -> None:
+        """Deliver an owner's answers for the ids still outstanding."""
+        answered = self._take(request_id, entry, results)
+        self._count(entry.scope, "completed", len(answered))
+        for resource_id in answered:
+            entry.callback(resource_id, results[resource_id])
+
+    def _fail(self, entry: _PendingGet, resource_ids: List[Any]) -> None:
+        """Complete unreachable ids with empty results (degrade)."""
+        self._count(entry.scope, "failed", len(resource_ids))
+        for resource_id in resource_ids:
+            entry.callback(resource_id, [])
+
+    def _on_get_timeout(self, request_id: int) -> None:
+        entry = self._pending_gets.get(request_id)
+        if entry is not None:
+            entry.timer = None  # this is the timer firing
+            self._retry_or_fail(request_id, entry, list(entry.resource_ids))
+
+    def _on_get_batch_bounce(self, node: Node, message) -> None:
+        request_id = message.payload["request_id"]
+        entry = self._pending_gets.get(request_id)
+        if entry is not None:
+            self._retry_or_fail(request_id, entry,
+                                message.payload["resource_ids"])
+
+    def _retry_or_fail(self, request_id: int, entry: _PendingGet,
+                       resource_ids: List[Any]) -> None:
+        """These ids' owner is unreachable: reroute them or complete empty."""
+        resource_ids = self._take(request_id, entry, resource_ids)
+        if not resource_ids:
+            return
+        if entry.attempts_left > 0:
+            # Retry through a fresh overlay resolution: the routing layer has
+            # marked the bounced hop dead, so the new lookup reroutes.
+            self._issue_get(entry.namespace, resource_ids, entry.callback,
+                            entry.request_bytes, entry.scope,
+                            attempts_left=entry.attempts_left - 1)
+            return
+        self._fail(entry, resource_ids)
+
+    def cancel_pending(self, scope: Any) -> int:
+        """Drop every pending get tagged with ``scope`` without calling back.
+
+        Swept at query teardown so cancelled queries do not accumulate
+        callbacks (or fire them into dead dataflows).  Requests whose
+        lookups are still routing are dropped too: their owners' answers
+        find no entry.  Also releases the scope's accounting entry; returns
+        the number of resourceIDs dropped.
+        """
+        stale = [request_id for request_id, entry in self._pending_gets.items()
+                 if entry.scope == scope]
+        dropped = 0
+        for request_id in stale:
+            entry = self._pending_gets.pop(request_id)
+            self._disarm(entry)
+            dropped += len(entry.resource_ids)
+        self._scope_counters.pop(scope, None)
+        return dropped
+
+    def pending_get_count(self, scope: Any = None) -> int:
+        """Number of resourceIDs awaiting an answer (optionally for one scope)."""
+        return sum(len(entry.resource_ids)
+                   for entry in self._pending_gets.values()
+                   if scope is None or entry.scope == scope)
+
+    def scope_report(self, scope: Any) -> Dict[str, int]:
+        """Accounting snapshot for one scope, including the pending count."""
+        report = dict(self._scope_counters.get(scope) or _new_scope_counters())
+        report["pending"] = self.pending_get_count(scope)
+        return report
 
     # ------------------------------------------------------------- local ops
 
@@ -1003,9 +867,7 @@ class Provider:
 
         Each entry may carry an optional fourth element with its own wire
         size; ``payload_bytes`` is the per-entry default.  The single flood
-        is charged the sum of the entry sizes.  With ``batching=False`` this
-        degrades to one flood per entry at that entry's own size (the last
-        multicast id is returned), matching the seed message pattern.
+        is charged the sum of the entry sizes.
         """
         if not entries:
             raise ValueError("multicast_batch needs at least one entry")
@@ -1014,13 +876,6 @@ class Provider:
              entry[3] if len(entry) > 3 else payload_bytes)
             for entry in entries
         ]
-        if not self.batching:
-            last = 0
-            for namespace, resource_id, item, entry_bytes in normalized:
-                last = self.multicast_service.multicast(
-                    namespace, resource_id, item, payload_bytes=entry_bytes
-                )
-            return last
         return self.multicast_service.multicast_batch(
             [(namespace, resource_id, item)
              for namespace, resource_id, item, _bytes in normalized],
@@ -1083,10 +938,9 @@ class Provider:
         process has no callbacks to deliver to.  Returns the number of stored
         items dropped.
         """
-        for pending in (self._pending_gets, self._pending_batch_gets):
-            for entry in pending.values():
-                self._disarm(entry)
-            pending.clear()
+        for entry in self._pending_gets.values():
+            self._disarm(entry)
+        self._pending_gets.clear()
         self._scope_counters.clear()
         self.put_bounces_by_namespace.clear()
         return self.storage.clear()

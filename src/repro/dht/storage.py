@@ -22,11 +22,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 
 ItemKey = Tuple[str, Any, int]
+#: An index bucket: item keys in insertion order (a dict used as an ordered
+#: set).  A set would order them by hash, and string hashing changes with
+#: ``PYTHONHASHSEED``, so scans and retrieves would too.
+KeyIndex = Dict[ItemKey, None]
 
 
 @dataclass
@@ -81,8 +85,8 @@ class StorageManager:
 
     def __init__(self) -> None:
         self._items: Dict[ItemKey, StoredItem] = {}
-        self._by_namespace: Dict[str, Set[ItemKey]] = {}
-        self._by_resource: Dict[Tuple[str, Any], Set[ItemKey]] = {}
+        self._by_namespace: Dict[str, KeyIndex] = {}
+        self._by_resource: Dict[Tuple[str, Any], KeyIndex] = {}
         #: Min-heap of ``(expires_at, seq, item_key)``; ``seq`` breaks ties so
         #: heterogeneous resource ids are never compared.
         self._expiry_heap: List[Tuple[float, int, ItemKey]] = []
@@ -105,8 +109,8 @@ class StorageManager:
             self._heap_stale += 1  # the overwritten item's heap entry
         else:
             self._items[key] = item
-            self._by_namespace.setdefault(item.namespace, set()).add(key)
-            self._by_resource.setdefault((item.namespace, item.resource_id), set()).add(key)
+            self._by_namespace.setdefault(item.namespace, {})[key] = None
+            self._by_resource.setdefault((item.namespace, item.resource_id), {})[key] = None
         heapq.heappush(self._expiry_heap,
                        (item.expires_at, next(self._heap_seq), key))
 
@@ -114,7 +118,7 @@ class StorageManager:
         """Insert many items with grouped index updates (hot ingestion path).
 
         Batched ``put`` delivery and join/leave migration hand whole groups
-        of items to one node; updating the namespace/resource sets per group
+        of items to one node; updating the namespace/resource indexes per group
         instead of per item avoids repeated hashing of the same index keys.
         """
         items = list(items)
@@ -125,22 +129,22 @@ class StorageManager:
                 )
         heap = self._expiry_heap
         stored = self._items
-        by_namespace: Dict[str, List[ItemKey]] = {}
-        by_resource: Dict[Tuple[str, Any], List[ItemKey]] = {}
+        by_namespace: Dict[str, KeyIndex] = {}
+        by_resource: Dict[Tuple[str, Any], KeyIndex] = {}
         for item in items:
             key = item.item_key
             if key in stored:
                 self._heap_stale += 1
             else:
-                by_namespace.setdefault(item.namespace, []).append(key)
+                by_namespace.setdefault(item.namespace, {})[key] = None
                 by_resource.setdefault(
-                    (item.namespace, item.resource_id), []).append(key)
+                    (item.namespace, item.resource_id), {})[key] = None
             stored[key] = item
             heapq.heappush(heap, (item.expires_at, next(self._heap_seq), key))
         for namespace, keys in by_namespace.items():
-            self._by_namespace.setdefault(namespace, set()).update(keys)
+            self._by_namespace.setdefault(namespace, {}).update(keys)
         for resource, keys in by_resource.items():
-            self._by_resource.setdefault(resource, set()).update(keys)
+            self._by_resource.setdefault(resource, {}).update(keys)
 
     def retrieve(self, namespace: str, resource_id: Any, now: float) -> List[StoredItem]:
         """All live items matching ``(namespace, resourceID)`` (``retrieve``)."""
@@ -170,7 +174,7 @@ class StorageManager:
                 self._remove_key(key)
                 return 1
             return 0
-        keys = list(self._by_resource.get((namespace, resource_id), set()))
+        keys = list(self._by_resource.get((namespace, resource_id), ()))
         for key in keys:
             self._remove_key(key)
         return len(keys)
@@ -182,12 +186,12 @@ class StorageManager:
         self._heap_stale += 1  # the removed item's heap entry lingers
         namespace_keys = self._by_namespace.get(item.namespace)
         if namespace_keys is not None:
-            namespace_keys.discard(key)
+            namespace_keys.pop(key, None)
             if not namespace_keys:
                 del self._by_namespace[item.namespace]
         resource_keys = self._by_resource.get((item.namespace, item.resource_id))
         if resource_keys is not None:
-            resource_keys.discard(key)
+            resource_keys.pop(key, None)
             if not resource_keys:
                 del self._by_resource[(item.namespace, item.resource_id)]
 
@@ -232,7 +236,7 @@ class StorageManager:
         (rehash fragments, Bloom filters, partial aggregates) without
         waiting for their soft-state lifetimes to elapse.
         """
-        keys = list(self._by_namespace.get(namespace, set()))
+        keys = list(self._by_namespace.get(namespace, ()))
         for key in keys:
             self._remove_key(key)
         return len(keys)

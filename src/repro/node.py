@@ -352,7 +352,6 @@ class PierNode:
             self.node, routing,
             sweep_period_s=self.config["sweep_period_s"],
             instance_seed=self.node.address,
-            batching=True,
             request_timeout_s=request_timeout if request_timeout > 0 else None,
         )
         self.executor = QueryExecutor(self.node, self.provider)

@@ -219,8 +219,12 @@ class RemoteExecutor:
         return handle
 
     def finish(self, query_id: int, record_feedback: bool = False) -> None:
-        self._pier.gateway.rpc("finish", query_id=query_id,
-                               record_feedback=record_feedback)
+        try:
+            self._pier.gateway.rpc("finish", query_id=query_id,
+                                   record_feedback=record_feedback)
+        finally:
+            # The query is over: stop routing its row frames to the handle.
+            self._pier.gateway.handles.pop(query_id, None)
 
 
 class RemotePier:

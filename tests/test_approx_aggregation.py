@@ -2,9 +2,9 @@
 
 The tentpole guarantees: ``APPROX COUNT(DISTINCT x)`` runs through the full
 PierClient path on both DHT geometries, through flat hash grouping and the
-hierarchical combiner tree, on both the batched and the scalar
-(``batching=False``) message paths — and every configuration produces the
-*identical* estimate (the shared-seed HLL is exactly order-insensitive),
+hierarchical combiner tree, with same-instant and 10 ms network coalescing
+windows (which regroup and reorder deliveries) — and every configuration
+produces the *identical* estimate (the shared-seed HLL is exactly order-insensitive),
 within 2 % of the exact answer.  Shipped
 partials stay constant-size as input cardinality grows, which is the whole
 point of replacing the exact distinct-value set.
@@ -20,8 +20,9 @@ from repro.harness.experiment import run_query
 from repro.workloads import NetworkMonitoringWorkload
 
 
-def run_sql(sql, dht="can", batching=True, num_nodes=16, **query_options):
-    pier = build_pier(num_nodes, dht=dht, batching=batching)
+def run_sql(sql, dht="can", coalesce_window_s=0.0, num_nodes=16,
+            **query_options):
+    pier = build_pier(num_nodes, dht=dht, coalesce_window_s=coalesce_window_s)
     workload = build_workload(num_nodes, s_tuples_per_node=4)
     load_join_tables(pier, workload)
     pier.run_until_idle()
@@ -41,12 +42,13 @@ def exact_distinct(workload, column="num1"):
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
-@pytest.mark.parametrize("batching", [True, False])
+@pytest.mark.parametrize("wide_window", [True, False])
 @pytest.mark.parametrize("hierarchical", [False, True])
-def test_approx_count_distinct_end_to_end(dht, batching, hierarchical):
+def test_approx_count_distinct_end_to_end(dht, wide_window, hierarchical):
     result, _pier, _query, workload = run_sql(
         "SELECT APPROX COUNT(DISTINCT R.num1) AS d FROM R",
-        dht=dht, batching=batching, hierarchical_aggregation=hierarchical,
+        dht=dht, coalesce_window_s=0.010 if wide_window else 0.0,
+        hierarchical_aggregation=hierarchical,
     )
     truth = exact_distinct(workload)
     assert len(result.rows) == 1

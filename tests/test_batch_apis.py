@@ -1,11 +1,12 @@
 """Tests for the batched message path: DHT batch APIs and network coalescing.
 
 The contract under test: batched operations are *semantically identical* to
-their scalar equivalents — same stored items, same ``newData`` callbacks,
-same ``get`` results — while collapsing per-item messages into per-
-destination messages.  Covered for both CAN and Chord, including a node
-failing mid-batch.  ``put_chunk`` (one namespace, lifetime and item size per
-wave, shipped as parallel arrays) is held to the same contract.
+the same items issued one scalar call at a time (each a batch of one) —
+same stored items, same ``newData`` callbacks, same ``get`` results — while
+collapsing per-item messages into per-destination messages.  Covered for
+both CAN and Chord, including a node failing mid-batch.  ``put_chunk`` (one
+namespace, lifetime and item size per wave, shipped as parallel arrays) is
+held to the same contract.
 """
 
 import math
@@ -20,12 +21,12 @@ from repro.net.network import Network
 from repro.net.topology import FullMeshTopology
 
 
-def build_network(dht="can", num_nodes=16, latency=0.02, batching=True,
+def build_network(dht="can", num_nodes=16, latency=0.02,
                   coalesce_window_s=0.0, capacity=math.inf):
     network = Network(
         FullMeshTopology(num_nodes, latency_s=latency,
                          capacity_bytes_per_s=capacity),
-        coalesce_window_s=coalesce_window_s if batching else None,
+        coalesce_window_s=coalesce_window_s,
     )
     if dht == "can":
         builder = CanNetworkBuilder(dimensions=2)
@@ -34,8 +35,7 @@ def build_network(dht="can", num_nodes=16, latency=0.02, batching=True,
     routings = builder.build_stabilized(network)
     providers = {
         address: Provider(network.node(address), routings[address],
-                          sweep_period_s=0.0, instance_seed=address,
-                          batching=batching)
+                          sweep_period_s=0.0, instance_seed=address)
         for address in range(num_nodes)
     }
     return network, providers, builder
@@ -59,11 +59,11 @@ def collect_stored(providers, namespace):
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_put_batch_equals_sequential_puts(dht):
     """Batched puts land the same items at the same owners as scalar puts."""
-    net_a, prov_a, _ = build_network(dht, batching=True)
+    net_a, prov_a, _ = build_network(dht)
     prov_a[0].put_batch("t", ENTRIES, item_bytes=64)
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network(dht, batching=False)
+    net_b, prov_b, _ = build_network(dht)
     for resource_id, value in ENTRIES:
         prov_b[0].put("t", resource_id, None, value, item_bytes=64)
     net_b.run_until_idle()
@@ -109,19 +109,20 @@ def test_put_batch_returns_aligned_instance_ids():
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
 def test_put_batch_uses_fewer_messages_than_scalar_puts(dht):
-    net_a, prov_a, _ = build_network(dht, batching=True)
+    net_a, prov_a, _ = build_network(dht)
     prov_a[0].put_batch("t", ENTRIES)
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network(dht, batching=False)
+    net_b, prov_b, _ = build_network(dht)
     for resource_id, value in ENTRIES:
         prov_b[0].put("t", resource_id, None, value)
     net_b.run_until_idle()
 
     assert net_a.stats.messages_sent < net_b.stats.messages_sent
-    # The put traffic itself is one message per destination, not per item.
+    # The put traffic itself is one message per destination, not per item;
+    # each scalar put is a batch of one.
     batched_puts = net_a.stats.protocol_messages.get("prov.put_batch", 0)
-    scalar_puts = net_b.stats.protocol_messages.get("prov.put", 0)
+    scalar_puts = net_b.stats.protocol_messages.get("prov.put_batch", 0)
     assert 0 < batched_puts < scalar_puts
 
 
@@ -161,17 +162,6 @@ def test_put_chunk_empty_is_a_noop():
     network.run_until_idle()
     assert all(list(provider.lscan("t")) == []
                for provider in providers.values())
-
-
-def test_put_chunk_without_batching_degrades_to_scalar_puts():
-    network, providers, builder = build_network(num_nodes=8, batching=False)
-    resource_ids = list(range(10))
-    providers[1].put_chunk("t", resource_ids, [str(r) for r in resource_ids])
-    network.run_until_idle()
-    for resource_id in resource_ids:
-        owner = builder.owner_of_key(hash_key("t", resource_id))
-        items = providers[owner].get_local("t", resource_id)
-        assert [item.value for item in items] == [str(resource_id)]
 
 
 def test_put_chunk_target_confines_items_to_computation_node():
@@ -318,15 +308,23 @@ def test_unroutable_batch_entries_release_pending_state(dht):
 
 
 @pytest.mark.parametrize("dht", ["can", "chord"])
-@pytest.mark.parametrize("batching", [True, False])
-def test_get_batch_returns_per_id_results(dht, batching):
-    network, providers, _builder = build_network(dht, batching=batching)
+@pytest.mark.parametrize("one_call_per_id", [True, False])
+def test_get_batch_returns_per_id_results(dht, one_call_per_id):
+    """``get_batch`` answers every id; so do scalar ``get`` calls, one per id."""
+    network, providers, _builder = build_network(dht)
     providers[1].put_batch("t", ENTRIES)
     network.run_until_idle()
 
     results = {}
-    providers[0].get_batch("t", [rid for rid, _v in ENTRIES] + ["missing"],
-                           lambda rid, items: results.__setitem__(rid, items))
+    resource_ids = [rid for rid, _v in ENTRIES] + ["missing"]
+    if one_call_per_id:
+        for resource_id in resource_ids:
+            providers[0].get(
+                "t", resource_id,
+                lambda items, rid=resource_id: results.__setitem__(rid, items))
+    else:
+        providers[0].get_batch("t", resource_ids,
+                               lambda rid, items: results.__setitem__(rid, items))
     network.run_until_idle()
 
     assert set(results) == {rid for rid, _v in ENTRIES} | {"missing"}
@@ -336,7 +334,7 @@ def test_get_batch_returns_per_id_results(dht, batching):
 
 
 def test_get_batch_groups_requests_by_owner():
-    network, providers, _builder = build_network("can", batching=True)
+    network, providers, _builder = build_network("can")
     providers[1].put_batch("t", ENTRIES)
     network.run_until_idle()
     network.stats.reset()
@@ -378,16 +376,17 @@ def test_multicast_batch_delivers_every_entry_everywhere():
 
 
 def test_multicast_batch_floods_once_not_per_entry():
-    net_a, prov_a, _ = build_network("can", batching=True)
+    net_a, prov_a, _ = build_network("can")
     for provider in prov_a.values():
         provider.on_multicast("ns", lambda *args: None)
     prov_a[0].multicast_batch([("ns", i, i) for i in range(5)])
     net_a.run_until_idle()
 
-    net_b, prov_b, _ = build_network("can", batching=False)
+    net_b, prov_b, _ = build_network("can")
     for provider in prov_b.values():
         provider.on_multicast("ns", lambda *args: None)
-    prov_b[0].multicast_batch([("ns", i, i) for i in range(5)])
+    for i in range(5):
+        prov_b[0].multicast("ns", i, i)
     net_b.run_until_idle()
 
     flood_batched = net_a.stats.protocol_messages.get("mc.flood", 0)

@@ -219,8 +219,9 @@ def test_get_times_out_when_overlay_dead_ends():
     assert provider.request_timeout_s is not None
     for neighbor in pier.routings[0].neighbors():
         pier.failure_injector.fail_now(neighbor)
-    # Remote key, every first hop dead: the lookup can never resolve; only
-    # the timeout lane can complete the request.
+    # Remote key, every first hop dead: the lookup can never resolve.  The
+    # routing layer reports the key unresolved and the request completes
+    # empty; the timeout lane is the backstop for what it cannot report.
     resource_id = next(
         rid for rid in range(64)
         if pier.owner_of(workload.s_relation.namespace, rid) != 0
@@ -233,6 +234,72 @@ def test_get_times_out_when_overlay_dead_ends():
     assert results == [[]]
     assert provider.pending_get_count(7) == 0
     assert provider.scope_report(7)["failed"] == 1
+
+
+def test_dead_end_get_completes_within_one_round_trip():
+    """A scalar get whose route dead-ends does not wait for its timers."""
+    pier, workload = build_churn_pier("can")
+    provider = pier.providers[0]
+    for neighbor in pier.routings[0].neighbors():
+        pier.failure_injector.fail_now(neighbor)
+    namespace = workload.s_relation.namespace
+    resource_id = next(rid for rid in range(64)
+                       if pier.owner_of(namespace, rid) != 0)
+    issued_at = pier.now
+    completions = []
+    provider.get(namespace, resource_id,
+                 lambda items: completions.append((pier.now - issued_at, items)),
+                 scope=8)
+    pier.run(until=issued_at + provider.request_timeout_s
+             * (provider.request_retries + 1) + 5.0)
+    assert [items for _elapsed, items in completions] == [[]]
+    # Bounces off the dead first hops plus the unresolved report: well
+    # under a second, against two request timeouts (20 s) for the timers.
+    assert completions[0][0] < 1.0 < provider.request_timeout_s
+    assert provider.scope_report(8) == {
+        "issued": 1, "completed": 0, "failed": 1, "pending": 0}
+
+
+def remote_and_local_ids(pier, namespace, remote=2):
+    """``remote`` resourceIDs owned elsewhere, and one owned by node 0."""
+    rids = range(256)
+    far = [rid for rid in rids if pier.owner_of(namespace, rid) != 0][:remote]
+    near = next(rid for rid in rids if pier.owner_of(namespace, rid) == 0)
+    return far, near
+
+
+def test_get_batch_ids_count_as_pending_from_issue():
+    """issued == completed + failed + pending holds at every instant."""
+    pier, workload = build_churn_pier("can")
+    provider = pier.providers[0]
+    namespace = workload.s_relation.namespace
+    far, near = remote_and_local_ids(pier, namespace)
+    answered = []
+    provider.get_batch(namespace, far + [near],
+                       lambda rid, items: answered.append(rid), scope=41)
+    # The locally owned id resolves synchronously; the remote ones are
+    # pending while their lookups route.
+    assert answered == [near]
+    assert provider.scope_report(41) == {
+        "issued": 3, "completed": 1, "failed": 0, "pending": 2}
+    pier.run_until_idle()
+    assert sorted(answered) == sorted(far + [near])
+    assert provider.scope_report(41) == {
+        "issued": 3, "completed": 3, "failed": 0, "pending": 0}
+
+
+def test_cancel_pending_counts_ids_whose_lookups_are_routing():
+    pier, workload = build_churn_pier("can")
+    provider = pier.providers[0]
+    namespace = workload.s_relation.namespace
+    far, _near = remote_and_local_ids(pier, namespace)
+    fired = []
+    provider.get_batch(namespace, far,
+                       lambda rid, items: fired.append(rid), scope=42)
+    assert provider.cancel_pending(42) == len(far)
+    pier.run_until_idle()
+    assert fired == []
+    assert provider.pending_get_count(42) == 0
 
 
 def test_churn_free_deployment_matches_seed_behaviour():

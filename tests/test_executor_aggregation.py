@@ -89,11 +89,10 @@ def test_hierarchical_aggregation_reduces_group_owner_inbound_messages():
     flat_query = planner.plan_sql(sql)
     flat = run_query(pier_flat, flat_query, initiator=0)
     flat_owner = pier_flat.owner_of(flat_query.aggregation_namespace(), ("agg-l0", ()))
-    # Partial aggregates travel via prov.put_batch (batched path) or prov.put
-    # (scalar fallback); either way the flat plan must ship partials.
+    # Partial aggregates travel via prov.put_batch; the flat plan must ship
+    # partials.
     flat_stats = pier_flat.network.stats.protocol_messages
-    flat_inbound_msgs = (flat_stats.get("prov.put", 0)
-                         + flat_stats.get("prov.put_batch", 0))
+    flat_inbound_msgs = flat_stats.get("prov.put_batch", 0)
 
     pier_tree, _workload2, planner2 = build_monitoring(num_nodes=32)
     tree_query = planner2.plan_sql(sql)

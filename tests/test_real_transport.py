@@ -167,6 +167,13 @@ def test_approx_aggregation_matches_simulator(can_cluster):
     assert canonical(rows) == expected
 
 
+def test_finished_queries_release_their_gateway_handles(can_cluster):
+    run_join(can_cluster, JoinStrategy.SYMMETRIC_HASH)
+    # Every cursor this session opened is closed: no handle may outlive its
+    # query in the gateway connection's row-routing map.
+    assert can_cluster.pier.gateway.handles == {}
+
+
 def test_chord_join_matches_simulator(chord_cluster):
     expected, actual = run_join(chord_cluster, JoinStrategy.SYMMETRIC_HASH)
     assert len(expected) > 0

@@ -1,7 +1,14 @@
 """Unit tests for the storage manager and soft-state renewal."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.dht.storage import StorageManager, StoredItem
 from repro.exceptions import StorageError
 
@@ -228,3 +235,47 @@ def test_has_instance_checks_exact_live_triple():
     assert storage.has_instance("ns", "r1", 1, now=5.0)
     assert not storage.has_instance("ns", "r1", 2, now=5.0)
     assert not storage.has_instance("ns", "r1", 1, now=11.0)  # expired
+
+
+# ------------------------------------------------------------- determinism
+
+#: Stores string-keyed items one by one and in a batch, then prints the
+#: order in which ``scan`` and ``retrieve`` hand them back.
+_ORDER_PROBE = """
+import json
+from repro.dht.storage import StorageManager, StoredItem
+
+def item(resource, instance):
+    return StoredItem(namespace="ns", resource_id=resource,
+                      instance_id=instance, value=None, key=0,
+                      expires_at=100.0)
+
+storage = StorageManager()
+for i in range(40):
+    storage.store(item(f"r{i}", i))
+storage.store_batch([item(f"b{i}", 100 + i) for i in range(40)])
+for i in range(20):
+    storage.store(item("shared", 200 + i))
+print(json.dumps({
+    "scan": [[it.resource_id, it.instance_id] for it in storage.scan("ns", 0.0)],
+    "retrieve": [it.instance_id for it in storage.retrieve("ns", "shared", 0.0)],
+}))
+"""
+
+
+def _probe_order(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    output = subprocess.run([sys.executable, "-c", _ORDER_PROBE], env=env,
+                            check=True, capture_output=True, text=True).stdout
+    return json.loads(output)
+
+
+def test_scan_and_retrieve_order_does_not_depend_on_hash_seed():
+    """Items come back in insertion order whatever ``PYTHONHASHSEED`` is, so
+    everything downstream of a scan (put order, route fan-out, float sums)
+    replays identically across interpreter runs."""
+    first, second = _probe_order(1), _probe_order(2)
+    assert first == second
+    assert [rid for rid, _iid in first["scan"][:2]] == ["r0", "r1"]
+    assert first["retrieve"] == list(range(200, 220))

@@ -132,8 +132,8 @@ def test_provider_put_request_roundtrip():
         "value": {"pkey": 42, "pad": "x" * 100}, "lifetime": 1e9,
         "item_bytes": 1064, "key": hash_key("ns", 42), "publisher": 3,
     }
-    restored = wire_message("prov.put", request)
-    assert restored.payload == request
+    restored = wire_message("prov.put_batch", {"requests": [request]})
+    assert restored.payload == {"requests": [request]}
     assert restored.hops == 3 and restored.src == 1 and restored.dst == 2
 
 
@@ -141,9 +141,11 @@ def test_dht_item_reply_roundtrip():
     items = [DHTItem(namespace="ns", resource_id=("composite", 9),
                      instance_id=5, value=(1, 2.5, "slotted"), publisher=0,
                      size_bytes=123)]
-    restored = wire_message("prov.get_reply",
-                            {"request_id": 1, "items": items})
-    assert restored.payload["items"] == items
+    restored = wire_message(
+        "prov.get_batch_reply",
+        {"request_id": 1,
+         "results": [{"resource_id": ("composite", 9), "items": items}]})
+    assert restored.payload["results"][0]["items"] == items
 
 
 def test_query_multicast_roundtrip():
@@ -180,7 +182,7 @@ def test_relation_stats_roundtrip():
                                      max_value=1599.0)},
         collected_at=12.5,
     )
-    assert wire_message("prov.put", {"value": stats}).payload["value"] == stats
+    assert wire_message("prov.put_batch", {"value": stats}).payload["value"] == stats
 
 
 def test_sketch_ext_roundtrips():
@@ -200,7 +202,7 @@ def test_sketch_ext_roundtrips():
     # Sketches nested inside shipped partial payloads survive, too.
     payload = {"group": (), "partials": [("approx_count_distinct", hll)],
                "level": 0}
-    restored = wire_message("prov.put", {"value": payload}).payload["value"]
+    restored = wire_message("prov.put_batch", {"value": payload}).payload["value"]
     assert restored["partials"][0][1] == hll
 
 
